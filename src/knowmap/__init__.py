@@ -14,11 +14,10 @@ from .embedding import (
     Layer,
     aggregate,
     embed_graph,
+    embedding_round,
     embedding_rounds,
     init_layer,
     init_layers,
-    layer_forward,
-    normalize,
 )
 from .errors import KnowmapError
 from .features import (
@@ -28,7 +27,7 @@ from .features import (
     features_at,
     set_workload,
 )
-from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
+from .graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology, node_name
 from .pca import PCAModel, fit_pca, jacobi_eigh, transform
 from .sharing import KnowledgeMap, SharingConfig, run_sharing
 
@@ -43,6 +42,7 @@ __all__ = [
     "KnowledgeMap",
     "KnowmapError",
     "Layer",
+    "NeighborTable",
     "NodeFeatures",
     "PCAModel",
     "SharingConfig",
@@ -52,6 +52,7 @@ __all__ = [
     "apply_fluctuation",
     "build_topology",
     "embed_graph",
+    "embedding_round",
     "export_result",
     "embedding_rounds",
     "feature_vector",
@@ -60,9 +61,7 @@ __all__ = [
     "init_layer",
     "init_layers",
     "jacobi_eigh",
-    "layer_forward",
     "node_name",
-    "normalize",
     "run_drift",
     "run_sharing",
     "set_workload",

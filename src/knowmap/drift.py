@@ -10,7 +10,9 @@ drifts as the target diverges from its peers.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +32,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     MagnitudeOutOfRangeError,
+    NonFiniteValueError,
     TooFewStepsError,
     UnknownNodeError,
 )
@@ -42,7 +45,7 @@ from .features import (
     features_at,
     set_workload,
 )
-from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
+from .graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology, node_name
 from .pca import fit_pca, transform
 from .sharing import (
     DEFAULT_TOLERANCE,
@@ -88,9 +91,12 @@ class DriftConfig:
             raise MagnitudeOutOfRangeError(
                 f"fluctuation magnitude must be in [0, 0.1), got {self.fluctuation}"
             )
+        if not math.isfinite(self.mem_total):
+            raise NonFiniteValueError(f"mem_total must be finite, got {self.mem_total}")
         if self.mem_total <= 0.0:
             raise ValueError(f"mem_total must be positive, got {self.mem_total}")
         self.embedding_config()  # validates dimension and rounds
+        self.sharing_config()  # validates the tolerance
 
     def embedding_config(self) -> EmbeddingConfig:
         """Embedding stack for this run; weights are drawn from the run seed."""
@@ -100,6 +106,10 @@ class DriftConfig:
             activation=self.activation,
             weight_seed=self.seed,
         )
+
+    def sharing_config(self) -> SharingConfig:
+        """Stopping rule for the hidden rounds that follow the input round."""
+        return SharingConfig(max_rounds=self.rounds - 1, tolerance=self.sharing_tolerance)
 
 
 @dataclass(frozen=True)
@@ -163,30 +173,17 @@ def trajectory_metrics(
 
 
 def _settle(
-    graph: KnowledgeGraph,
-    vectors: dict[str, np.ndarray],
+    table: NeighborTable,
+    features: np.ndarray,
     config: DriftConfig,
 ) -> KnowledgeMap:
     """Full pipeline for one feature assignment: input round, then sharing."""
-    embedding = config.embedding_config()
-    input_layer, hidden_layer = init_layers(embedding)
-    first = embedding_round(graph, vectors, input_layer, embedding.activation)
+    input_layer, hidden_layer = init_layers(config.embedding_config())
+    first = embedding_round(table, features, input_layer, config.activation)
     shared = run_sharing(
-        graph,
-        first,
-        hidden_layer,
-        embedding.activation,
-        SharingConfig(
-            max_rounds=embedding.rounds - 1,
-            tolerance=config.sharing_tolerance,
-        ),
+        table, first, hidden_layer, config.activation, config.sharing_config()
     )
-    return KnowledgeMap(
-        entries=shared.entries,
-        rounds_used=shared.rounds_used + 1,
-        converged=shared.converged,
-        final_delta=shared.final_delta,
-    )
+    return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
 def run_drift(config: DriftConfig) -> DriftResult:
@@ -195,43 +192,40 @@ def run_drift(config: DriftConfig) -> DriftResult:
     target = config.target if config.target is not None else node_name(0)
     if not graph.has_node(target):
         raise UnknownNodeError(f"target {target!r} is not in the graph")
+    table = graph.neighbor_table()
 
     base = features_at(config.baseline_workload, config.mem_total)
-    baseline_vectors = {
-        v: feature_vector(
-            apply_fluctuation(base, config.seed, config.fluctuation, node_id=v, step=0)
-        )
-        for v in graph.node_ids()
-    }
-    baseline_map = _settle(graph, baseline_vectors, config)
+
+    def draw(step: int, pinned: int | None = None) -> np.ndarray:
+        """Feature rows of one settle; a pinned target is set exactly, peers jitter."""
+        return np.array([
+            feature_vector(
+                set_workload(base, pinned) if pinned is not None and v == target
+                else apply_fluctuation(
+                    base, config.seed, config.fluctuation, node_id=v, step=step
+                )
+            )
+            for v in table.node_ids
+        ])
+
+    baseline_map = _settle(table, draw(0), config)
 
     centroid_distances: list[float] = []
     target_rows: list[np.ndarray] = []
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
-        vectors: dict[str, np.ndarray] = {}
-        for v in graph.node_ids():
-            if v == target:
-                # The target is pinned exactly; only the peers keep jittering.
-                vectors[v] = feature_vector(set_workload(base, workload))
-            else:
-                vectors[v] = feature_vector(
-                    apply_fluctuation(
-                        base, config.seed, config.fluctuation, node_id=v, step=step_index
-                    )
-                )
-        step_map = _settle(graph, vectors, config)
-        peers = [step_map.entries[u] for u in graph.node_ids() if u != target]
+        step_map = _settle(table, draw(step_index, pinned=workload), config)
+        peers = [step_map.entries[u] for u in table.node_ids if u != target]
         distance = float(np.linalg.norm(step_map.entries[target] - aggregate(peers)))
         centroid_distances.append(distance)
         target_rows.append(step_map.entries[target])
         step_maps.append(step_map)
 
-    labels = [f"baseline:{v}" for v in graph.node_ids()]
+    labels = [f"baseline:{v}" for v in table.node_ids]
     labels += [f"target:{target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
     rows = np.stack(
-        [baseline_map.entries[v] for v in graph.node_ids()] + target_rows
+        [baseline_map.entries[v] for v in table.node_ids] + target_rows
     )
     try:
         model = fit_pca(rows, components=2)

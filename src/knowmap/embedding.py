@@ -3,7 +3,9 @@
 Each round every node mixes its own state with the mean of its neighbors'
 states through two weight matrices, applies a pointwise activation, and is
 projected back onto the unit sphere.  Repeating the round widens the
-receptive field by one hop.
+receptive field by one hop.  A round works on an (n x d) state matrix over
+the graph's padded neighbor table, the mean aggregator of GraphSAGE
+(Hamilton et al. 2017) in matrix form.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NodeSetMismatchError,
     ZeroVectorError,
 )
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, NeighborTable
 
 DEFAULT_DIMENSION = 8
 DEFAULT_ROUNDS = 2
@@ -117,59 +119,47 @@ def init_layers(config: EmbeddingConfig, in_dim: int = FEATURE_DIMENSION) -> tup
 
 
 def aggregate(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of the neighborhood states.  Order of the inputs must not matter."""
+    """Mean of a set of states, such as a node's peers.  Order must not matter."""
     if len(vectors) == 0:
-        raise EmptyInputError("cannot aggregate an empty neighborhood")
+        raise EmptyInputError("cannot aggregate an empty set of states")
     dims = {v.shape for v in vectors}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed vector shapes in aggregation: {dims}")
     return np.mean(np.stack(vectors), axis=0)
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    """Project onto the unit sphere.  The zero vector has no direction."""
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    return vector / norm
-
-
-def layer_forward(
-    layer: Layer,
-    self_vector: np.ndarray,
-    neighbor_vectors: Sequence[np.ndarray],
-    activation: Activation = Activation.SIGMOID,
-) -> np.ndarray:
-    """One node's update: normalize(act(W_self x + W_nbr mean(neighbors))).
-
-    An isolated node contributes no neighborhood term.
-    """
-    if self_vector.shape != (layer.in_dim,):
-        raise DimensionMismatchError(
-            f"expected input of shape ({layer.in_dim},), got {self_vector.shape}"
-        )
-    mixed = layer.self_weights @ self_vector
-    if len(neighbor_vectors) > 0:
-        mixed = mixed + layer.neighbor_weights @ aggregate(neighbor_vectors)
-    return normalize(activation.apply(mixed))
-
-
 def embedding_round(
-    graph: KnowledgeGraph,
-    states: Mapping[str, np.ndarray],
+    table: NeighborTable,
+    states: np.ndarray,
     layer: Layer,
     activation: Activation,
-) -> dict[str, np.ndarray]:
-    """Apply one layer synchronously: every node reads pre-round states."""
-    if set(states) != set(graph.node_ids()):
-        raise NodeSetMismatchError("state keys must match the graph's node set")
-    result: dict[str, np.ndarray] = {}
-    for node_id in graph.node_ids():
-        neighbor_states = [states[u] for u in graph.neighbors(node_id)]
-        result[node_id] = layer_forward(
-            layer, states[node_id], neighbor_states, activation
+    round_index: int = 1,
+) -> np.ndarray:
+    """One synchronous round over node-indexed states (row i is table.node_ids[i]).
+
+    Row i becomes normalize(act(W_self x_i + W_nbr mean(neighbors of i))); an
+    isolated node contributes no neighborhood term.  round_index only names
+    the round in errors.
+    """
+    n = len(table.node_ids)
+    if states.shape != (n, layer.in_dim):
+        raise DimensionMismatchError(
+            f"expected states of shape ({n}, {layer.in_dim}), got {states.shape}"
         )
-    return result
+    # Row n is the zero the padding points at, so a pad adds an exact zero
+    # and each sum keeps the neighbor order of the table.
+    padded = np.vstack([states, np.zeros((1, layer.in_dim))])
+    total = np.zeros_like(states)
+    for column in table.index.T:
+        total += padded[column]
+    mean = total / np.maximum(table.degree, 1)[:, None]
+    mixed = states @ layer.self_weights.T + mean @ layer.neighbor_weights.T
+    activated = activation.apply(mixed)
+    norms = np.linalg.norm(activated, axis=1)
+    if not norms.all():
+        node_id = table.node_ids[int(np.argmin(norms))]
+        raise ZeroVectorError(f"round {round_index} left node {node_id!r} all zero")
+    return activated / norms[:, None]
 
 
 def embed_graph(
@@ -188,12 +178,14 @@ def embedding_rounds(
 ) -> list[dict[str, np.ndarray]]:
     """Per-round embedding snapshots, index 0 holding the round-1 result."""
     input_layer, hidden_layer = init_layers(config, in_dim=_input_dim(vectors))
-    snapshots = [embedding_round(graph, vectors, input_layer, config.activation)]
-    for _ in range(config.rounds - 1):
-        snapshots.append(
-            embedding_round(graph, snapshots[-1], hidden_layer, config.activation)
-        )
-    return snapshots
+    table = graph.neighbor_table()
+    if set(vectors) != set(table.node_ids):
+        raise NodeSetMismatchError("vector keys must match the graph's node set")
+    features = np.array([vectors[v] for v in table.node_ids], dtype=float)
+    rounds = [embedding_round(table, features, input_layer, config.activation)]
+    for r in range(2, config.rounds + 1):
+        rounds.append(embedding_round(table, rounds[-1], hidden_layer, config.activation, r))
+    return [dict(zip(table.node_ids, states)) for states in rounds]
 
 
 def _input_dim(vectors: Mapping[str, np.ndarray]) -> int:
@@ -209,21 +201,21 @@ def _input_dim(vectors: Mapping[str, np.ndarray]) -> int:
 
 
 def write_embedding_csv(
-    path: str | Path, snapshots: Sequence[Mapping[str, np.ndarray]]
+    path: str | Path, snapshots: Sequence[Mapping[str, np.ndarray]], first_round: int = 1
 ) -> None:
     """Write per-round embeddings as CSV: node_id,round,e0..e{k-1}.
 
-    Rounds are numbered from 1.  Rows are ordered by round, then node id,
-    and floats use repr-exact formatting so reruns are byte-identical.
+    Rounds are numbered from first_round.  Rows are ordered by round, then
+    node id, and floats use repr-exact formatting so reruns are byte-identical.
     """
-    if len(snapshots) == 0:
-        raise EmptyInputError("no embedding rounds to write")
+    if len(snapshots) == 0 or len(snapshots[0]) == 0:
+        raise EmptyInputError("no embeddings to write")
     dimension = len(next(iter(snapshots[0].values())))
     header = ["node_id", "round"] + [f"e{i}" for i in range(dimension)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for round_index, snapshot in enumerate(snapshots, start=1):
+        for round_index, snapshot in enumerate(snapshots, start=first_round):
             for node_id in sorted(snapshot):
                 row = [node_id, round_index]
                 row += [format(x, ".17g") for x in snapshot[node_id]]

@@ -33,6 +33,10 @@ class MagnitudeOutOfRangeError(KnowmapError):
     """Fluctuation magnitude outside the supported [0, 0.1) range."""
 
 
+class NonFiniteValueError(KnowmapError):
+    """A configuration value is NaN or infinite."""
+
+
 class EmptyInputError(KnowmapError):
     """An aggregation was called with no vectors."""
 

@@ -9,8 +9,11 @@ neighborhoods of the simulated networks.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
+
+import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -33,6 +36,18 @@ class TopologyKind(Enum):
     RING = "ring"
     FULLY_CONNECTED = "full"
     LINE = "line"
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborTable:
+    """Padded adjacency of a graph, one row per node in node_ids order.
+
+    Row i holds the positions of node i's in-neighbors, padded on the right with n.
+    """
+
+    node_ids: list[str]
+    index: np.ndarray  # (n, max degree) positions, padded with n
+    degree: np.ndarray  # (n,)
 
 
 class KnowledgeGraph:
@@ -118,6 +133,17 @@ class KnowledgeGraph:
         """Undirected degree: number of distinct in-neighbors."""
         return len(self.neighbors(node_id))
 
+    def neighbor_table(self) -> NeighborTable:
+        """Padded neighbor positions of every node, rows in node_ids() order."""
+        ids = self.node_ids()
+        position = {node_id: i for i, node_id in enumerate(ids)}
+        rows = [[position[u] for u in self.neighbors(v)] for v in ids]
+        degree = np.array([len(row) for row in rows], dtype=np.intp)
+        index = np.full((len(ids), int(degree.max(initial=0))), len(ids), dtype=np.intp)
+        for i, row in enumerate(rows):
+            index[i, : len(row)] = row
+        return NeighborTable(node_ids=ids, index=index, degree=degree)
+
     def to_dict(self) -> dict[str, Any]:
         """Snapshot as a JSON-compatible dict with deterministic ordering."""
         return {
@@ -155,18 +181,20 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     if n < minimum:
         raise InvalidSizeError(f"{kind.value} topology needs at least {minimum} nodes, got {n}")
 
+    # One string per node, shared by every triple that names it.
+    names = [node_name(i) for i in range(n)]
     kg = KnowledgeGraph()
-    for i in range(n):
-        kg.add_node(node_name(i), {COMPUTATIONAL_NODE})
+    for name in names:
+        kg.add_node(name, {COMPUTATIONAL_NODE})
 
     if kind is TopologyKind.RING:
         for i in range(n):
-            kg.add_link(node_name(i), node_name((i + 1) % n))
+            kg.add_link(names[i], names[(i + 1) % n])
     elif kind is TopologyKind.LINE:
         for i in range(n - 1):
-            kg.add_link(node_name(i), node_name(i + 1))
+            kg.add_link(names[i], names[i + 1])
     else:
         for i in range(n):
             for j in range(i + 1, n):
-                kg.add_link(node_name(i), node_name(j))
+                kg.add_link(names[i], names[j])
     return kg

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .embedding import Activation, Layer, embedding_round
-from .errors import EmptyInputError
-from .graph import KnowledgeGraph
+from .embedding import Activation, Layer, embedding_round, write_embedding_csv
+from .errors import EmptyInputError, NonFiniteValueError
+from .graph import NeighborTable
 
 DEFAULT_MAX_ROUNDS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -32,6 +31,8 @@ class SharingConfig:
     def __post_init__(self) -> None:
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if not math.isfinite(self.tolerance):
+            raise NonFiniteValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
@@ -46,18 +47,16 @@ class KnowledgeMap:
     final_delta: float
 
 
-def states_delta(
-    before: Mapping[str, np.ndarray], after: Mapping[str, np.ndarray]
-) -> float:
-    """Largest per-node movement between two embedding snapshots."""
-    if not before:
+def states_delta(before: np.ndarray, after: np.ndarray) -> float:
+    """Largest per-node movement (row norm) between two state matrices."""
+    if before.size == 0:
         raise EmptyInputError("cannot compare empty embedding snapshots")
-    return max(float(np.linalg.norm(after[v] - before[v])) for v in before)
+    return float(np.max(np.linalg.norm(after - before, axis=1)))
 
 
 def run_sharing(
-    graph: KnowledgeGraph,
-    states: Mapping[str, np.ndarray],
+    table: NeighborTable,
+    states: np.ndarray,
     layer: Layer,
     activation: Activation = Activation.SIGMOID,
     config: SharingConfig = SharingConfig(),
@@ -66,25 +65,21 @@ def run_sharing(
 
     Rounds are synchronous: all nodes update from the same pre-round
     snapshot, so the result is independent of node iteration order.
+    states holds one row per node in table.node_ids order.
     """
-    current = {v: np.asarray(x, dtype=float) for v, x in states.items()}
-    final_delta = float("inf")
-    for round_index in range(1, config.max_rounds + 1):
-        updated = embedding_round(graph, current, layer, activation)
+    current = np.asarray(states, dtype=float)
+    rounds_used, converged, final_delta = 0, False, 0.0
+    while rounds_used < config.max_rounds and not converged:
+        rounds_used += 1
+        updated = embedding_round(table, current, layer, activation, rounds_used)
         final_delta = states_delta(current, updated)
         current = updated
-        if config.tolerance > 0.0 and final_delta < config.tolerance:
-            return KnowledgeMap(
-                entries=current,
-                rounds_used=round_index,
-                converged=True,
-                final_delta=final_delta,
-            )
+        converged = config.tolerance > 0.0 and final_delta < config.tolerance
     return KnowledgeMap(
-        entries=current,
-        rounds_used=config.max_rounds,
-        converged=False,
-        final_delta=final_delta if config.max_rounds > 0 else 0.0,
+        entries=dict(zip(table.node_ids, current)),
+        rounds_used=rounds_used,
+        converged=converged,
+        final_delta=final_delta,
     )
 
 
@@ -109,18 +104,5 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
 
 
 def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap) -> None:
-    """Write the settled embeddings as CSV: node_id,round,e0..e{k-1}.
-
-    The round column repeats rounds_used, marking which round the snapshot
-    belongs to.  Floats use repr-exact formatting.
-    """
-    if not knowledge_map.entries:
-        raise EmptyInputError("knowledge map has no entries to write")
-    dimension = len(next(iter(knowledge_map.entries.values())))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node_id", "round"] + [f"e{i}" for i in range(dimension)])
-        for node_id in sorted(knowledge_map.entries):
-            row = [node_id, knowledge_map.rounds_used]
-            row += [format(x, ".17g") for x in knowledge_map.entries[node_id]]
-            writer.writerow(row)
+    """Write the settled embeddings as write_embedding_csv does, round = rounds_used."""
+    write_embedding_csv(path, [knowledge_map.entries], first_round=knowledge_map.rounds_used)

@@ -97,6 +97,14 @@ def test_drift_rejects_bad_fluctuation(tmp_path):
     assert main(["drift", "--fluctuation", "0.5", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_drift_rejects_non_finite_tolerance(tmp_path, capsys, value):
+    code = main(["drift", "--tolerance", value, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "tolerance must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_drift_rejects_unknown_target(tmp_path):
     code = main(["drift", "--nodes", "5", "--target", "node-99", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

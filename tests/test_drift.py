@@ -21,6 +21,7 @@ from knowmap.errors import (
     DimensionMismatchError,
     InvalidSizeError,
     MagnitudeOutOfRangeError,
+    NonFiniteValueError,
     TooFewStepsError,
     UnknownNodeError,
 )
@@ -90,6 +91,22 @@ def test_config_validation():
         DriftConfig(rounds=0)
     with pytest.raises(ValueError):
         DriftConfig(dimension=0)
+    with pytest.raises(ValueError):
+        DriftConfig(sharing_tolerance=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sharing_tolerance", math.nan),
+        ("sharing_tolerance", math.inf),
+        ("mem_total", math.nan),
+        ("mem_total", math.inf),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(NonFiniteValueError, match="must be finite"):
+        DriftConfig(**{field: value})
 
 
 def test_run_rejects_bad_graph_or_target():

@@ -16,8 +16,6 @@ from knowmap.embedding import (
     embedding_rounds,
     init_layer,
     init_layers,
-    layer_forward,
-    normalize,
     write_embedding_csv,
 )
 from knowmap.errors import (
@@ -26,7 +24,7 @@ from knowmap.errors import (
     NodeSetMismatchError,
     ZeroVectorError,
 )
-from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology
+from knowmap.graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology
 
 vectors3 = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -116,73 +114,87 @@ def test_aggregate_is_permutation_invariant(vecs, rnd):
     assert np.allclose(aggregate(vecs), aggregate(shuffled), atol=1e-12)
 
 
+def isolated(node_id="solo"):
+    graph = KnowledgeGraph()
+    graph.add_node(node_id, {"ComputationalNode"})
+    return graph.neighbor_table()
+
+
 def test_normalize_unit_length():
-    out = normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, [0.6, 0.8])
+    table = build_topology(TopologyKind.RING, 5).neighbor_table()
+    states = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 3))
+    out = embedding_round(table, states, init_layer(3, 4, [3, 0]), Activation.IDENTITY)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
     with pytest.raises(ZeroVectorError):
-        normalize(np.zeros(3))
+        embedding_round(isolated(), np.zeros((1, 2)), identity_layer(), Activation.IDENTITY)
 
 
 def test_layer_forward_identity_example():
     # identity weights: self [1,2] plus neighbor mean [2,0] gives [3,2],
-    # whose unit form is [3,2]/sqrt(13)
-    out = layer_forward(
-        identity_layer(),
-        np.array([1.0, 2.0]),
-        [np.array([2.0, 0.0])],
-        Activation.IDENTITY,
-    )
-    assert out[0] == 0.8320502943378437
-    assert out[1] == 0.5547001962252291
+    # whose unit form is [3,2]/sqrt(13); the other node sees the same sum
+    graph = build_topology(TopologyKind.LINE, 2)
+    states = np.array([[1.0, 2.0], [2.0, 0.0]])
+    out = embedding_round(graph.neighbor_table(), states, identity_layer(), Activation.IDENTITY)
+    for row in out:
+        assert row[0] == 0.8320502943378437
+        assert row[1] == 0.5547001962252291
 
 
 def test_layer_forward_middle_of_a_line():
     # node with self [1,0] and two neighbors [0,1], [1,1]: the neighbor mean
     # [0.5, 1] joins the self term for [1.5, 1], normalized to [3,2]/sqrt(13)
-    out = layer_forward(
-        identity_layer(),
-        np.array([1.0, 0.0]),
-        [np.array([0.0, 1.0]), np.array([1.0, 1.0])],
-        Activation.IDENTITY,
-    )
-    assert out[0] == 0.8320502943378437
-    assert out[1] == 0.5547001962252291
+    graph = build_topology(TopologyKind.LINE, 3)
+    states = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    out = embedding_round(graph.neighbor_table(), states, identity_layer(), Activation.IDENTITY)
+    assert out[1][0] == 0.8320502943378437
+    assert out[1][1] == 0.5547001962252291
 
 
 def test_layer_forward_without_neighbors():
-    out = layer_forward(identity_layer(), np.array([3.0, 4.0]), [], Activation.IDENTITY)
-    assert np.allclose(out, [0.6, 0.8])
+    out = embedding_round(
+        isolated(), np.array([[3.0, 4.0]]), identity_layer(), Activation.IDENTITY
+    )
+    assert np.allclose(out, [[0.6, 0.8]])
 
 
 def test_layer_forward_is_neighbor_order_invariant():
     rng = np.random.default_rng(6)
+    table = build_topology(TopologyKind.FULLY_CONNECTED, 6).neighbor_table()
     layer = init_layer(3, 3, [5, 0])
-    self_vec = rng.uniform(-1.0, 1.0, 3)
-    neighbors = [rng.uniform(-1.0, 1.0, 3) for _ in range(5)]
-    reference = layer_forward(layer, self_vec, neighbors)
+    states = rng.uniform(-1.0, 1.0, (6, 3))
+    reference = embedding_round(table, states, layer, Activation.SIGMOID)
     for _ in range(100):
-        rng.shuffle(neighbors)
+        shuffled = rng.permuted(table.index, axis=1)
+        reordered = NeighborTable(table.node_ids, shuffled, table.degree)
         assert np.allclose(
-            layer_forward(layer, self_vec, neighbors), reference, atol=1e-12
+            embedding_round(reordered, states, layer, Activation.SIGMOID), reference, atol=1e-12
         )
 
 
 def test_layer_forward_zero_weights_sigmoid():
     # sigmoid(0) = 0.5 in every coordinate, normalized to 1/sqrt(k)
     layer = Layer(np.zeros((2, 2)), np.zeros((2, 2)))
-    out = layer_forward(layer, np.array([1.0, -1.0]), [np.array([2.0, 2.0])])
-    assert np.allclose(out, [1.0 / np.sqrt(2.0)] * 2)
+    graph = build_topology(TopologyKind.LINE, 2)
+    out = embedding_round(
+        graph.neighbor_table(), np.array([[1.0, -1.0], [2.0, 2.0]]), layer, Activation.SIGMOID
+    )
+    assert np.allclose(out, [[1.0 / np.sqrt(2.0)] * 2] * 2)
 
 
 def test_layer_forward_relu_can_hit_zero():
-    layer = Layer(-np.eye(2), -np.eye(2))
-    with pytest.raises(ZeroVectorError):
-        layer_forward(layer, np.array([1.0, 1.0]), [], Activation.RELU)
+    # ReLU empties node-2's all-negative row; the error names it and the round
+    graph = build_topology(TopologyKind.LINE, 3)
+    layer = Layer(np.eye(2), np.zeros((2, 2)))
+    states = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(ZeroVectorError, match=r"round 4 left node 'node-2' all zero"):
+        embedding_round(graph.neighbor_table(), states, layer, Activation.RELU, round_index=4)
 
 
 def test_layer_forward_checks_input_dim():
     with pytest.raises(DimensionMismatchError):
-        layer_forward(identity_layer(), np.array([1.0, 2.0, 3.0]), [])
+        embedding_round(isolated(), np.ones((1, 3)), identity_layer(), Activation.IDENTITY)
+    with pytest.raises(DimensionMismatchError):
+        embedding_round(isolated(), np.ones((2, 2)), identity_layer(), Activation.IDENTITY)
 
 
 def ring_states(n=4, dim=3, seed=0):
@@ -192,21 +204,27 @@ def ring_states(n=4, dim=3, seed=0):
 
 
 def test_embedding_round_is_synchronous():
-    # same states fed in reverse insertion order give the identical result
+    # every node reads the pre-round states: one round over a matrix equals
+    # the per-node formula applied to the unchanged input, whatever the
+    # order the input dict was built in
     graph, states = ring_states()
-    layer = init_layer(3, 3, [2, 0])
-    forward = embedding_round(graph, states, layer, Activation.SIGMOID)
-    reversed_states = dict(reversed(list(states.items())))
-    again = embedding_round(graph, reversed_states, layer, Activation.SIGMOID)
+    config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=2)
+    forward = embed_graph(graph, states, config)
+    again = embed_graph(graph, dict(reversed(list(states.items()))), config)
+    input_layer, _ = init_layers(config)
     for v in graph.node_ids():
         assert forward[v].tobytes() == again[v].tobytes()
+        neighbors = np.mean([states[u] for u in graph.neighbors(v)], axis=0)
+        mixed = input_layer.self_weights @ states[v] + input_layer.neighbor_weights @ neighbors
+        expected = Activation.SIGMOID.apply(mixed)
+        assert np.allclose(forward[v], expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
 
 
 def test_embedding_round_requires_matching_nodes():
     graph, states = ring_states()
     del states["node-0"]
     with pytest.raises(NodeSetMismatchError):
-        embedding_round(graph, states, init_layer(3, 3, [2, 0]), Activation.SIGMOID)
+        embedding_rounds(graph, states, EmbeddingConfig(dimension=3))
 
 
 def test_embed_graph_output_is_unit_norm():
@@ -244,8 +262,8 @@ def test_single_isolated_node_is_its_own_context():
     config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=4)
     result = embed_graph(graph, {"solo": np.array([0.2, 0.8, 1.0])}, config)
     input_layer, _ = init_layers(config)
-    direct = layer_forward(input_layer, np.array([0.2, 0.8, 1.0]), [])
-    assert np.array_equal(result["solo"], direct)
+    direct = Activation.SIGMOID.apply(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))
+    assert np.allclose(result["solo"], direct / np.linalg.norm(direct), rtol=0, atol=1e-15)
 
 
 def test_embed_graph_rejects_bad_inputs():

@@ -191,3 +191,26 @@ def test_topology_build_is_deterministic():
     a = build_topology(TopologyKind.FULLY_CONNECTED, 5)
     b = build_topology(TopologyKind.FULLY_CONNECTED, 5)
     assert a.canonical_json() == b.canonical_json()
+
+
+def test_neighbor_table_pads_rows_in_node_id_order():
+    # ids sort as node-0, node-1, node-10, node-11, node-2, ...: positions
+    # follow that order, and short rows are padded with n
+    kg = build_topology(TopologyKind.LINE, 12)
+    table = kg.neighbor_table()
+    assert table.node_ids == kg.node_ids()
+    assert table.index.shape == (12, 2)
+    for i, v in enumerate(table.node_ids):
+        row = [table.node_ids[j] for j in table.index[i, : table.degree[i]]]
+        assert row == kg.neighbors(v)
+        assert list(table.index[i, table.degree[i]:]) == [12] * (2 - table.degree[i])
+    assert list(table.degree) == [kg.degree(v) for v in table.node_ids]
+
+
+def test_neighbor_table_of_isolated_nodes_has_no_columns():
+    kg = KnowledgeGraph()
+    kg.add_node("a", {"Server"})
+    kg.add_node("b", {"Server"})
+    table = kg.neighbor_table()
+    assert table.index.shape == (2, 0)
+    assert list(table.degree) == [0, 0]

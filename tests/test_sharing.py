@@ -8,11 +8,11 @@ import pytest
 from knowmap.embedding import (
     Activation,
     EmbeddingConfig,
+    Layer,
     embedding_round,
     init_layers,
-    normalize,
 )
-from knowmap.errors import EmptyInputError
+from knowmap.errors import EmptyInputError, NonFiniteValueError, ZeroVectorError
 from knowmap.features import feature_vector, features_at
 from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import (
@@ -27,13 +27,12 @@ from knowmap.sharing import (
 
 
 def ring_setup(n=5, dim=4, seed=3):
-    graph = build_topology(TopologyKind.RING, n)
+    table = build_topology(TopologyKind.RING, n).neighbor_table()
     config = EmbeddingConfig(dimension=dim, weight_seed=seed)
     input_layer, hidden_layer = init_layers(config)
-    rng = np.random.default_rng(0)
-    raw = {v: rng.uniform(0.1, 1.0, 3) for v in graph.node_ids()}
-    states = embedding_round(graph, raw, input_layer, Activation.SIGMOID)
-    return graph, states, hidden_layer
+    raw = np.random.default_rng(0).uniform(0.1, 1.0, (n, 3))
+    states = embedding_round(table, raw, input_layer, Activation.SIGMOID)
+    return table, states, hidden_layer
 
 
 def test_sharing_config_validation():
@@ -41,38 +40,41 @@ def test_sharing_config_validation():
         SharingConfig(max_rounds=-1)
     with pytest.raises(ValueError):
         SharingConfig(tolerance=-1e-9)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteValueError):
+            SharingConfig(tolerance=bad)
 
 
 def test_states_delta_is_max_movement():
-    before = {"a": np.array([0.0, 0.0]), "b": np.array([1.0, 0.0])}
-    after = {"a": np.array([3.0, 4.0]), "b": np.array([1.0, 1.0])}
+    before = np.array([[0.0, 0.0], [1.0, 0.0]])
+    after = np.array([[3.0, 4.0], [1.0, 1.0]])
     assert states_delta(before, after) == 5.0
     with pytest.raises(EmptyInputError):
-        states_delta({}, {})
+        states_delta(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_zero_tolerance_runs_exactly_max_rounds():
-    graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(5, 0.0))
+    table, states, layer = ring_setup()
+    result = run_sharing(table, states, layer, config=SharingConfig(5, 0.0))
     assert result.rounds_used == 5
     assert not result.converged
     assert result.final_delta > 0.0
 
 
 def test_zero_max_rounds_returns_input():
-    graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(0, 0.0))
+    table, states, layer = ring_setup()
+    result = run_sharing(table, states, layer, config=SharingConfig(0, 0.0))
     assert result.rounds_used == 0
     assert result.final_delta == 0.0
-    for v in states:
-        assert np.array_equal(result.entries[v], states[v])
+    for i, v in enumerate(table.node_ids):
+        assert np.array_equal(result.entries[v], states[i])
 
 
 def test_sharing_converges_on_uniform_ring():
     # the sigmoid layer is a contraction here, so the default tolerance
     # is reached well before the round cap
-    graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer)
+    table, states, layer = ring_setup()
+    result = run_sharing(table, states, layer)
     assert result.converged
     assert result.rounds_used < SharingConfig().max_rounds
     assert result.final_delta < SharingConfig().tolerance
@@ -81,34 +83,34 @@ def test_sharing_converges_on_uniform_ring():
 
 
 def test_one_round_equals_direct_layer_application():
-    graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(1, 0.0))
-    direct = embedding_round(graph, states, layer, Activation.SIGMOID)
-    for v in states:
-        assert np.array_equal(result.entries[v], direct[v])
+    table, states, layer = ring_setup()
+    result = run_sharing(table, states, layer, config=SharingConfig(1, 0.0))
+    direct = embedding_round(table, states, layer, Activation.SIGMOID)
+    for i, v in enumerate(table.node_ids):
+        assert np.array_equal(result.entries[v], direct[i])
 
 
 def test_sharing_is_deterministic():
-    graph, states, layer = ring_setup()
-    a = run_sharing(graph, states, layer)
-    b = run_sharing(graph, states, layer)
+    table, states, layer = ring_setup()
+    a = run_sharing(table, states, layer)
+    b = run_sharing(table, states, layer)
     assert a.rounds_used == b.rounds_used
     assert a.final_delta == b.final_delta
-    for v in states:
+    for v in table.node_ids:
         assert a.entries[v].tobytes() == b.entries[v].tobytes()
 
 
 def test_uniform_features_collapse_is_avoided_by_normalization():
     # identical inputs give identical (not zero) embeddings on a regular graph
-    graph = build_topology(TopologyKind.RING, 5)
-    vectors = {v: feature_vector(features_at(50)) for v in graph.node_ids()}
+    table = build_topology(TopologyKind.RING, 5).neighbor_table()
+    vectors = np.array([feature_vector(features_at(50))] * 5)
     config = EmbeddingConfig(dimension=4, weight_seed=2)
     input_layer, hidden_layer = init_layers(config)
-    states = embedding_round(graph, vectors, input_layer, Activation.SIGMOID)
-    result = run_sharing(graph, states, hidden_layer)
+    states = embedding_round(table, vectors, input_layer, Activation.SIGMOID)
+    result = run_sharing(table, states, hidden_layer)
     reference = result.entries["node-0"]
     assert np.linalg.norm(reference) > 0.0
-    for v in graph.node_ids():
+    for v in table.node_ids:
         assert np.allclose(result.entries[v], reference)
 
 
@@ -128,8 +130,8 @@ def test_knowledge_map_dict_shape():
 
 
 def test_knowledge_map_json_is_reproducible(tmp_path):
-    graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer)
+    table, states, layer = ring_setup()
+    result = run_sharing(table, states, layer)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_knowledge_map_json(a, result)
     write_knowledge_map_json(b, result)
@@ -142,21 +144,32 @@ def test_knowledge_map_json_is_reproducible(tmp_path):
 def test_information_spreads_one_hop_per_round():
     # a single divergent node on a line contaminates exactly one extra
     # neighbour per synchronous round; everything farther is bit-identical
-    graph = build_topology(TopologyKind.LINE, 7)
+    table = build_topology(TopologyKind.LINE, 7).neighbor_table()
     _, hidden_layer = init_layers(EmbeddingConfig(weight_seed=5))
     dim = hidden_layer.out_dim
-    base = normalize(np.linspace(0.2, 0.9, dim))
-    odd = normalize(np.linspace(0.9, 0.2, dim))
-    uniform = {node_name(i): base.copy() for i in range(7)}
-    seeded = dict(uniform)
-    seeded[node_name(0)] = odd.copy()
+    base = np.linspace(0.2, 0.9, dim)
+    odd = np.linspace(0.9, 0.2, dim)
+    uniform = np.tile(base / np.linalg.norm(base), (7, 1))
+    seeded = uniform.copy()
+    seeded[table.node_ids.index(node_name(0))] = odd / np.linalg.norm(odd)
     for rounds in range(1, 5):
-        plain, touched = dict(uniform), dict(seeded)
+        plain, touched = uniform, seeded
         for _ in range(rounds):
-            plain = embedding_round(graph, plain, hidden_layer, Activation.SIGMOID)
-            touched = embedding_round(graph, touched, hidden_layer, Activation.SIGMOID)
-        differing = sorted(v for v in plain if plain[v].tobytes() != touched[v].tobytes())
+            plain = embedding_round(table, plain, hidden_layer, Activation.SIGMOID)
+            touched = embedding_round(table, touched, hidden_layer, Activation.SIGMOID)
+        differing = sorted(
+            v for v, p, t in zip(table.node_ids, plain, touched) if p.tobytes() != t.tobytes()
+        )
         assert differing == [node_name(i) for i in range(rounds + 1)]
+
+
+def test_zero_row_error_names_the_sharing_round():
+    # ReLU of [x1, 0] empties the row one round after [x0, x1] became [x1, 0]
+    table = build_topology(TopologyKind.LINE, 2).neighbor_table()
+    layer = Layer(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+    states = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero"):
+        run_sharing(table, states, layer, Activation.RELU, SharingConfig(5, 0.0))
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):
