@@ -123,13 +123,13 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_embed(args: argparse.Namespace) -> int:
+    config = EmbeddingConfig(
+        dimension=args.dim, rounds=args.rounds, weight_seed=args.seed
+    )
     graph = build_topology(TopologyKind(args.topology), args.nodes)
     vectors = {
         v: feature_vector(features_at(args.workload)) for v in graph.node_ids()
     }
-    config = EmbeddingConfig(
-        dimension=args.dim, rounds=args.rounds, weight_seed=args.seed
-    )
     snapshots = embedding_rounds(graph, vectors, config)
     write_embedding_csv(args.out, snapshots)
     print(

@@ -9,7 +9,6 @@ drifts as the target diverges from its peers.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -25,6 +24,7 @@ from .embedding import (
     Activation,
     EmbeddingConfig,
     aggregate,
+    csv_field,
     embedding_round,
     init_layers,
 )
@@ -95,7 +95,7 @@ class DriftConfig:
             raise NonFiniteValueError(f"mem_total must be finite, got {self.mem_total}")
         if self.mem_total <= 0.0:
             raise ValueError(f"mem_total must be positive, got {self.mem_total}")
-        self.embedding_config()  # validates dimension and rounds
+        self.embedding_config()  # validates dimension, rounds and the seed
         self.sharing_config()  # validates the tolerance
 
     def embedding_config(self) -> EmbeddingConfig:
@@ -195,18 +195,16 @@ def run_drift(config: DriftConfig) -> DriftResult:
     table = graph.neighbor_table()
 
     base = features_at(config.baseline_workload, config.mem_total)
+    target_row = table.node_ids.index(target)
 
     def draw(step: int, pinned: int | None = None) -> np.ndarray:
         """Feature rows of one settle; a pinned target is set exactly, peers jitter."""
-        return np.array([
-            feature_vector(
-                set_workload(base, pinned) if pinned is not None and v == target
-                else apply_fluctuation(
-                    base, config.seed, config.fluctuation, node_id=v, step=step
-                )
-            )
-            for v in table.node_ids
-        ])
+        rows = apply_fluctuation(
+            base, config.seed, config.fluctuation, node_ids=table.node_ids, step=step
+        )
+        if pinned is not None:
+            rows[target_row] = feature_vector(set_workload(base, pinned))
+        return rows
 
     baseline_map = _settle(table, draw(0), config)
 
@@ -289,15 +287,15 @@ def write_projection_csv(path: str | Path, result: DriftResult) -> None:
     Baseline rows come first in node order, then the target trajectory in
     sweep order, matching the row order the projection was fitted on.
     """
+    rows = zip(
+        result.projection_labels, result.projection_workloads, result.projection.tolist()
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "workload_pct", "x", "y"])
-        for label, workload, point in zip(
-            result.projection_labels, result.projection_workloads, result.projection
-        ):
-            writer.writerow(
-                [label, workload, format(point[0], ".17g"), format(point[1], ".17g")]
-            )
+        handle.write("label,workload_pct,x,y\r\n")
+        handle.writelines(
+            "%s,%d,%.17g,%.17g\r\n" % (csv_field(label), workload, x, y)
+            for label, workload, (x, y) in rows
+        )
 
 
 def export_result(result: DriftResult, directory: str | Path) -> list[Path]:

@@ -10,7 +10,7 @@ the graph's padded neighbor table, the mean aggregator of GraphSAGE
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,6 +24,7 @@ from .errors import (
     NodeSetMismatchError,
     ZeroVectorError,
 )
+from .features import check_seed
 from .graph import KnowledgeGraph, NeighborTable
 
 DEFAULT_DIMENSION = 8
@@ -88,6 +89,7 @@ class EmbeddingConfig:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        check_seed(self.weight_seed)
 
 
 def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer:
@@ -212,11 +214,21 @@ def write_embedding_csv(
         raise EmptyInputError("no embeddings to write")
     dimension = len(next(iter(snapshots[0].values())))
     header = ["node_id", "round"] + [f"e{i}" for i in range(dimension)]
+    row = "%s,%d," + ",".join(["%.17g"] * dimension) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(header) + "\r\n")
         for round_index, snapshot in enumerate(snapshots, start=first_round):
-            for node_id in sorted(snapshot):
-                row = [node_id, round_index]
-                row += [format(x, ".17g") for x in snapshot[node_id]]
-                writer.writerow(row)
+            handle.writelines(
+                row % (csv_field(node_id), round_index, *snapshot[node_id].tolist())
+                for node_id in sorted(snapshot)
+            )
+
+
+def csv_field(text: str) -> str:
+    """text as a csv.writer field: quoted only if it holds a comma, quote or newline."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')

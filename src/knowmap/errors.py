@@ -33,6 +33,10 @@ class MagnitudeOutOfRangeError(KnowmapError):
     """Fluctuation magnitude outside the supported [0, 0.1) range."""
 
 
+class InvalidSeedError(KnowmapError):
+    """A seed is negative or not an integer."""
+
+
 class NonFiniteValueError(KnowmapError):
     """A configuration value is NaN or infinite."""
 

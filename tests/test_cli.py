@@ -105,6 +105,15 @@ def test_drift_rejects_non_finite_tolerance(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["drift", "embed"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_drift_rejects_unknown_target(tmp_path):
     code = main(["drift", "--nodes", "5", "--target", "node-99", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

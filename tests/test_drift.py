@@ -19,6 +19,7 @@ from knowmap.drift import (
 )
 from knowmap.errors import (
     DimensionMismatchError,
+    InvalidSeedError,
     InvalidSizeError,
     MagnitudeOutOfRangeError,
     NonFiniteValueError,
@@ -107,6 +108,12 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(NonFiniteValueError, match="must be finite"):
         DriftConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+def test_config_rejects_a_bad_seed(seed):
+    with pytest.raises(InvalidSeedError, match="seed must be a non-negative integer"):
+        DriftConfig(seed=seed)
 
 
 def test_run_rejects_bad_graph_or_target():

@@ -1,6 +1,7 @@
 """Embedding layer and graph-embedding tests."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from knowmap.embedding import (
 from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    InvalidSeedError,
     NodeSetMismatchError,
     ZeroVectorError,
 )
@@ -87,6 +89,8 @@ def test_embedding_config_validation():
         EmbeddingConfig(dimension=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(rounds=0)
+    with pytest.raises(InvalidSeedError):
+        EmbeddingConfig(weight_seed=-1)
 
 
 def test_aggregate_is_the_mean():
@@ -256,6 +260,48 @@ def test_identical_features_embed_identically_on_a_regular_graph():
         assert reference.tobytes() == result[v].tobytes()
 
 
+@given(
+    kind=st.sampled_from(list(TopologyKind)),
+    n=st.integers(min_value=3, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
+    # row i of the relabelled problem is node perm[i]: permuting the states
+    # and the neighbour table permutes the output rows the same way
+    perm = np.array(data.draw(st.permutations(range(n))))
+    table = build_topology(kind, n).neighbor_table()
+    position = np.append(np.argsort(perm), n)  # the pad value n stays n
+    relabelled = NeighborTable(
+        node_ids=[table.node_ids[i] for i in perm],
+        index=position[table.index[perm]],
+        degree=table.degree[perm],
+    )
+    states = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3))
+    layer, _ = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
+    expected = embedding_round(table, states, layer, Activation.SIGMOID)[perm]
+    got = embedding_round(relabelled, states[perm], layer, Activation.SIGMOID)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32),
+    row=vectors3,
+    activation=st.sampled_from(list(Activation)),
+)
+def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row, activation):
+    table = build_topology(TopologyKind.FULLY_CONNECTED, n).neighbor_table()
+    input_layer, hidden_layer = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
+    states = np.tile(row, (n, 1))
+    try:
+        for layer in (input_layer, hidden_layer, hidden_layer):
+            states = embedding_round(table, states, layer, activation)
+            np.testing.assert_allclose(states, np.tile(states[0], (n, 1)), rtol=0, atol=1e-14)
+    except ZeroVectorError:
+        pass  # relu or identity can send the shared row to zero: no map to compare
+
+
 def test_single_isolated_node_is_its_own_context():
     graph = KnowledgeGraph()
     graph.add_node("solo", {"ComputationalNode"})
@@ -290,6 +336,19 @@ def test_embedding_csv_round_trip(tmp_path):
         snapshot = snapshots[int(row[1]) - 1]
         # .17g formatting must reproduce the doubles exactly
         assert [float(x) for x in row[2:]] == list(snapshot[row[0]])
+
+
+def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", ""]
+    snapshot = {v: np.array([0.1, -0.0, 1e-300]) for v in ids}
+    path = tmp_path / "emb.csv"
+    write_embedding_csv(path, [snapshot], first_round=3)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["node_id", "round", "e0", "e1", "e2"])
+    for v in sorted(ids):
+        writer.writerow([v, 3] + [format(x, ".17g") for x in snapshot[v]])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_embedding_csv_rejects_empty(tmp_path):

@@ -1,19 +1,23 @@
 """Workload assignment, fluctuation, and feature-vector tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from knowmap.errors import MagnitudeOutOfRangeError
+from knowmap.errors import InvalidSeedError, MagnitudeOutOfRangeError
 from knowmap.features import (
     DEFAULT_MEM_TOTAL,
     NodeFeatures,
     apply_fluctuation,
+    check_seed,
     check_workload,
     feature_vector,
     features_at,
+    fluctuation_draws,
+    node_keys,
     set_workload,
-    write_fluctuation_trace,
 )
 
 workloads = st.integers(min_value=0, max_value=10).map(lambda i: i * 10)
@@ -85,45 +89,46 @@ def test_feature_vector_never_zero():
 
 def test_fluctuation_is_deterministic():
     f = features_at(50)
-    a = apply_fluctuation(f, 42, 0.02, node_id="node-1", step=3)
-    b = apply_fluctuation(f, 42, 0.02, node_id="node-1", step=3)
-    assert a == b
+    a = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
+    b = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"seed": 43, "node_id": "node-1", "step": 3},
-        {"seed": 42, "node_id": "node-2", "step": 3},
-        {"seed": 42, "node_id": "node-1", "step": 4},
+        {"seed": 43, "node_ids": ["node-1"], "step": 3},
+        {"seed": 42, "node_ids": ["node-2"], "step": 3},
+        {"seed": 42, "node_ids": ["node-1"], "step": 4},
     ],
 )
 def test_fluctuation_streams_are_independent(kwargs):
     f = features_at(50)
-    reference = apply_fluctuation(f, 42, 0.02, node_id="node-1", step=3)
+    reference = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
     seed = kwargs.pop("seed")
     other = apply_fluctuation(f, seed, 0.02, **kwargs)
-    assert other != reference
+    assert not np.array_equal(other, reference)
 
 
 def test_fluctuation_stays_in_band():
     # multiplicative +/-2% around cpu 0.5 lands in [0.49, 0.51]
     f = features_at(50)
     for step in range(200):
-        g = apply_fluctuation(f, 7, 0.02, node_id="node-0", step=step)
-        assert 0.49 <= g.cpu_usage <= 0.51
-        assert 4096.0 * 0.98 <= g.mem_available <= 4096.0 * 1.02
+        (g,) = apply_fluctuation(f, 7, 0.02, node_ids=["node-0"], step=step)
+        assert 0.49 <= g[0] <= 0.51
+        assert 4096.0 * 0.98 <= g[1] * f.mem_total <= 4096.0 * 1.02
 
 
 def test_zero_magnitude_is_identity():
     f = features_at(50)
-    assert apply_fluctuation(f, 42, 0.0, node_id="node-1", step=0) == f
+    rows = apply_fluctuation(f, 42, 0.0, node_ids=["node-1", "node-2"], step=0)
+    assert np.array_equal(rows, [feature_vector(f)] * 2)
 
 
 @pytest.mark.parametrize("magnitude", [0.1, 0.5, -0.01, 1.0])
 def test_magnitude_range_enforced(magnitude):
     with pytest.raises(MagnitudeOutOfRangeError):
-        apply_fluctuation(features_at(50), 42, magnitude, node_id="n", step=0)
+        apply_fluctuation(features_at(50), 42, magnitude, node_ids=["n"], step=0)
 
 
 @given(
@@ -133,28 +138,76 @@ def test_magnitude_range_enforced(magnitude):
     magnitude=st.floats(min_value=0.0, max_value=0.0999),
 )
 def test_fluctuation_preserves_invariants(w, seed, step, magnitude):
-    g = apply_fluctuation(features_at(w), seed, magnitude, node_id="node-3", step=step)
-    assert 0.0 <= g.cpu_usage <= 1.0
-    assert 0.0 <= g.mem_available <= g.mem_total
+    rows = apply_fluctuation(
+        features_at(w), seed, magnitude, node_ids=["node-3", "node-4"], step=step
+    )
+    assert np.all((0.0 <= rows[:, :2]) & (rows[:, :2] <= 1.0))
+    assert np.all(rows[:, 2] == 1.0)
 
 
 def test_fluctuation_clamps_at_full_load():
     # cpu 1.0 scaled up would leave [0, 1]; the clamp must catch it
     f = features_at(100)
     for step in range(50):
-        g = apply_fluctuation(f, 11, 0.05, node_id="node-0", step=step)
-        assert g.cpu_usage <= 1.0
+        rows = apply_fluctuation(f, 11, 0.05, node_ids=["node-0"], step=step)
+        assert rows[0, 0] <= 1.0
 
 
-def test_trace_file_is_reproducible(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    names = ["node-1", "node-0"]
-    write_fluctuation_trace(a, names, 50, 4, seed=42)
-    write_fluctuation_trace(b, names, 50, 4, seed=42)
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
-    assert lines[0] == "step,node_id,cpu_usage,mem_available"
-    assert len(lines) == 1 + 4 * 2
-    # rows are grouped by step with node ids sorted inside each step
-    assert lines[1].startswith("0,node-0") and lines[2].startswith("0,node-1")
+def numpy_draws(seed, magnitude, key, step):
+    """The per-stream reference: numpy's own SeedSequence, PCG64 and Generator."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1, key, step]))
+    return rng.uniform(-magnitude, magnitude, size=2)
+
+
+# Keys below 2**32 give SeedSequence one entropy word fewer than the rest.
+SHORT_KEYS = [0, 1, 2**32 - 1]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**70 - 1),
+    step=st.integers(min_value=0, max_value=1000),
+    magnitude=st.floats(min_value=0.0, max_value=0.1, exclude_max=True),
+    keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8),
+)
+@example(seed=0, step=0, magnitude=0.02, keys=[])
+@example(seed=2**32 - 1, step=1000, magnitude=0.0, keys=[2**32, 2**64 - 1])
+@example(seed=2**32, step=7, magnitude=0.05, keys=[2**63])
+@example(seed=2**64, step=2**40, magnitude=0.0999, keys=[5])
+def test_batched_draw_matches_numpy_generator(seed, step, magnitude, keys):
+    keys = SHORT_KEYS + keys
+    got = fluctuation_draws(seed, magnitude, np.array(keys, dtype=np.uint64), step)
+    expected = np.array([numpy_draws(seed, magnitude, key, step) for key in keys])
+    assert np.array_equal(got, expected)
+
+
+def test_batched_rows_match_the_per_node_formula():
+    # the rows run_drift settles on, computed node by node as before batching
+    f = features_at(100)
+    node_ids = [f"node-{i}" for i in range(50)]
+    rows = apply_fluctuation(f, 42, 0.05, node_ids=node_ids, step=3)
+    for node_id, row in zip(node_ids, rows):
+        digest = hashlib.blake2b(node_id.encode("utf-8"), digest_size=8).digest()
+        u_cpu, u_mem = numpy_draws(42, 0.05, int.from_bytes(digest, "big"), 3)
+        cpu = min(max(f.cpu_usage * (1.0 + u_cpu), 0.0), 1.0)
+        mem = min(max(f.mem_available * (1.0 + u_mem), 0.0), f.mem_total)
+        expected = feature_vector(NodeFeatures(cpu, mem, f.mem_total))
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_node_keys_are_big_endian_digests():
+    digest = hashlib.blake2b(b"node-7", digest_size=8).digest()
+    assert node_keys(["node-7"]).tolist() == [int.from_bytes(digest, "big")]
+    assert node_keys([]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**40), 1.5, 2.0, "3", None, True])
+def test_seed_must_be_a_non_negative_integer(bad):
+    with pytest.raises(InvalidSeedError):
+        check_seed(bad)
+    with pytest.raises(InvalidSeedError):
+        fluctuation_draws(bad, 0.02, np.zeros(1, dtype=np.uint64), 0)
+
+
+@pytest.mark.parametrize("good", [0, 2**64, np.uint32(5), np.int64(9)])
+def test_seed_accepts_integers(good):
+    assert check_seed(good) == good
