@@ -1,4 +1,4 @@
-"""Deterministic simulator for decentralized knowledge sharing over property graphs."""
+"""Deterministic simulator for decentralized knowledge sharing over network graphs."""
 
 from .drift import (
     DriftConfig,
@@ -27,7 +27,7 @@ from .features import (
     features_at,
     set_workload,
 )
-from .graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology, node_name
+from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from .pca import PCAModel, fit_pca, jacobi_eigh, transform
 from .sharing import KnowledgeMap, SharingConfig, run_sharing
 
@@ -42,7 +42,6 @@ __all__ = [
     "KnowledgeMap",
     "KnowmapError",
     "Layer",
-    "NeighborTable",
     "NodeFeatures",
     "PCAModel",
     "SharingConfig",

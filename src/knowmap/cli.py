@@ -30,11 +30,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-METRICS_FILE = "metrics.json"
-PROJECTION_FILE = "projection.csv"
-KNOWLEDGE_MAP_FILE = "knowledge_map.json"
-PLOT_FILE = "trajectory.svg"
-
 _TOPOLOGY_CHOICES = [kind.value for kind in TopologyKind]
 
 
@@ -128,7 +123,7 @@ def _run_embed(args: argparse.Namespace) -> int:
     )
     graph = build_topology(TopologyKind(args.topology), args.nodes)
     vectors = {
-        v: feature_vector(features_at(args.workload)) for v in graph.node_ids()
+        v: feature_vector(features_at(args.workload)) for v in graph.node_ids
     }
     snapshots = embedding_rounds(graph, vectors, config)
     write_embedding_csv(args.out, snapshots)

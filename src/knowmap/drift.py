@@ -43,9 +43,10 @@ from .features import (
     check_workload,
     feature_vector,
     features_at,
+    node_keys,
     set_workload,
 )
-from .graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology, node_name
+from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from .pca import fit_pca, transform
 from .sharing import (
     DEFAULT_TOLERANCE,
@@ -60,6 +61,11 @@ DEFAULT_SWEEP = tuple(range(0, 101, 10))
 DEFAULT_BASELINE = 50
 DEFAULT_SEED = 42
 MONOTONE_TOLERANCE = 1e-9
+
+METRICS_FILE = "metrics.json"
+PROJECTION_FILE = "projection.csv"
+KNOWLEDGE_MAP_FILE = "knowledge_map.json"
+PLOT_FILE = "trajectory.svg"
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,6 @@ class DriftResult:
     projection_labels: list[str]
     projection_workloads: list[int]
     projection: np.ndarray
-    rounds_used: list[int]
 
 
 def trajectory_metrics(
@@ -173,15 +178,15 @@ def trajectory_metrics(
 
 
 def _settle(
-    table: NeighborTable,
+    graph: KnowledgeGraph,
     features: np.ndarray,
     config: DriftConfig,
 ) -> KnowledgeMap:
     """Full pipeline for one feature assignment: input round, then sharing."""
     input_layer, hidden_layer = init_layers(config.embedding_config())
-    first = embedding_round(table, features, input_layer, config.activation)
+    first = embedding_round(graph, features, input_layer, config.activation)
     shared = run_sharing(
-        table, first, hidden_layer, config.activation, config.sharing_config()
+        graph, first, hidden_layer, config.activation, config.sharing_config()
     )
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
@@ -190,40 +195,38 @@ def run_drift(config: DriftConfig) -> DriftResult:
     """Run the full drift experiment described by config."""
     graph = build_topology(config.topology, config.nodes)
     target = config.target if config.target is not None else node_name(0)
-    if not graph.has_node(target):
+    if target not in graph.node_ids:
         raise UnknownNodeError(f"target {target!r} is not in the graph")
-    table = graph.neighbor_table()
 
     base = features_at(config.baseline_workload, config.mem_total)
-    target_row = table.node_ids.index(target)
+    target_row = graph.node_ids.index(target)
+    keys = node_keys(graph.node_ids)
 
     def draw(step: int, pinned: int | None = None) -> np.ndarray:
         """Feature rows of one settle; a pinned target is set exactly, peers jitter."""
-        rows = apply_fluctuation(
-            base, config.seed, config.fluctuation, node_ids=table.node_ids, step=step
-        )
+        rows = apply_fluctuation(base, config.seed, config.fluctuation, keys=keys, step=step)
         if pinned is not None:
             rows[target_row] = feature_vector(set_workload(base, pinned))
         return rows
 
-    baseline_map = _settle(table, draw(0), config)
+    baseline_map = _settle(graph, draw(0), config)
 
     centroid_distances: list[float] = []
     target_rows: list[np.ndarray] = []
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
-        step_map = _settle(table, draw(step_index, pinned=workload), config)
-        peers = [step_map.entries[u] for u in table.node_ids if u != target]
+        step_map = _settle(graph, draw(step_index, pinned=workload), config)
+        peers = [step_map.entries[u] for u in graph.node_ids if u != target]
         distance = float(np.linalg.norm(step_map.entries[target] - aggregate(peers)))
         centroid_distances.append(distance)
         target_rows.append(step_map.entries[target])
         step_maps.append(step_map)
 
-    labels = [f"baseline:{v}" for v in table.node_ids]
+    labels = [f"baseline:{v}" for v in graph.node_ids]
     labels += [f"target:{target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
     rows = np.stack(
-        [baseline_map.entries[v] for v in table.node_ids] + target_rows
+        [baseline_map.entries[v] for v in graph.node_ids] + target_rows
     )
     try:
         model = fit_pca(rows, components=2)
@@ -255,7 +258,6 @@ def run_drift(config: DriftConfig) -> DriftResult:
         projection_labels=labels,
         projection_workloads=workloads,
         projection=projection,
-        rounds_used=[step_map.rounds_used for step_map in step_maps],
     )
 
 
@@ -270,7 +272,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
         "min_distance_workload": result.metrics.min_distance_workload,
         "left_monotone": result.metrics.left_monotone,
         "right_monotone": result.metrics.right_monotone,
-        "rounds_used": list(result.rounds_used),
+        "rounds_used": [step_map.rounds_used for step_map in result.step_maps],
     }
 
 
@@ -315,10 +317,10 @@ def export_result(result: DriftResult, directory: str | Path) -> list[Path]:
         written.append(out / name)
         return written[-1]
 
-    write_metrics_json(target("metrics.json"), result)
-    write_projection_csv(target("projection.csv"), result)
-    write_knowledge_map_json(target("knowledge_map.json"), result.baseline_map)
-    write_drift_svg(target("trajectory.svg"), result)
+    write_metrics_json(target(METRICS_FILE), result)
+    write_projection_csv(target(PROJECTION_FILE), result)
+    write_knowledge_map_json(target(KNOWLEDGE_MAP_FILE), result.baseline_map)
+    write_drift_svg(target(PLOT_FILE), result)
     write_knowledge_map_csv(target("embeddings_baseline.csv"), result.baseline_map)
     for workload, step_map in zip(result.config.sweep, result.step_maps):
         write_knowledge_map_csv(target(f"embeddings_w{workload:03d}.csv"), step_map)

@@ -25,7 +25,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .features import check_seed
-from .graph import KnowledgeGraph, NeighborTable
+from .graph import KnowledgeGraph
 
 DEFAULT_DIMENSION = 8
 DEFAULT_ROUNDS = 2
@@ -131,19 +131,19 @@ def aggregate(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def embedding_round(
-    table: NeighborTable,
+    graph: KnowledgeGraph,
     states: np.ndarray,
     layer: Layer,
     activation: Activation,
     round_index: int = 1,
 ) -> np.ndarray:
-    """One synchronous round over node-indexed states (row i is table.node_ids[i]).
+    """One synchronous round over node-indexed states (row i is graph.node_ids[i]).
 
     Row i becomes normalize(act(W_self x_i + W_nbr mean(neighbors of i))); an
     isolated node contributes no neighborhood term.  round_index only names
     the round in errors.
     """
-    n = len(table.node_ids)
+    n = graph.node_count
     if states.shape != (n, layer.in_dim):
         raise DimensionMismatchError(
             f"expected states of shape ({n}, {layer.in_dim}), got {states.shape}"
@@ -152,14 +152,14 @@ def embedding_round(
     # and each sum keeps the neighbor order of the table.
     padded = np.vstack([states, np.zeros((1, layer.in_dim))])
     total = np.zeros_like(states)
-    for column in table.index.T:
+    for column in graph.index.T:
         total += padded[column]
-    mean = total / np.maximum(table.degree, 1)[:, None]
+    mean = total / np.maximum(graph.degree, 1)[:, None]
     mixed = states @ layer.self_weights.T + mean @ layer.neighbor_weights.T
     activated = activation.apply(mixed)
     norms = np.linalg.norm(activated, axis=1)
     if not norms.all():
-        node_id = table.node_ids[int(np.argmin(norms))]
+        node_id = graph.node_ids[int(np.argmin(norms))]
         raise ZeroVectorError(f"round {round_index} left node {node_id!r} all zero")
     return activated / norms[:, None]
 
@@ -180,14 +180,13 @@ def embedding_rounds(
 ) -> list[dict[str, np.ndarray]]:
     """Per-round embedding snapshots, index 0 holding the round-1 result."""
     input_layer, hidden_layer = init_layers(config, in_dim=_input_dim(vectors))
-    table = graph.neighbor_table()
-    if set(vectors) != set(table.node_ids):
+    if set(vectors) != set(graph.node_ids):
         raise NodeSetMismatchError("vector keys must match the graph's node set")
-    features = np.array([vectors[v] for v in table.node_ids], dtype=float)
-    rounds = [embedding_round(table, features, input_layer, config.activation)]
+    features = np.array([vectors[v] for v in graph.node_ids], dtype=float)
+    rounds = [embedding_round(graph, features, input_layer, config.activation)]
     for r in range(2, config.rounds + 1):
-        rounds.append(embedding_round(table, rounds[-1], hidden_layer, config.activation, r))
-    return [dict(zip(table.node_ids, states)) for states in rounds]
+        rounds.append(embedding_round(graph, rounds[-1], hidden_layer, config.activation, r))
+    return [dict(zip(graph.node_ids, states)) for states in rounds]
 
 
 def _input_dim(vectors: Mapping[str, np.ndarray]) -> int:

@@ -9,20 +9,16 @@ class DuplicateNodeError(KnowmapError):
     """A node id was inserted twice into the same graph."""
 
 
-class EmptyLabelsError(KnowmapError):
-    """A node was added without any type label."""
-
-
 class MissingEndpointError(KnowmapError):
-    """An edge referenced a node id that is not in the graph."""
+    """A link referenced a node position that is not in the graph."""
 
 
 class DuplicateEdgeError(KnowmapError):
-    """The exact (source, relation, target) triple already exists."""
+    """A link was given twice, or joins a node to itself."""
 
 
 class UnknownNodeError(KnowmapError):
-    """A lookup referenced a node id that is not in the graph."""
+    """A node id is empty, or names no node of the graph."""
 
 
 class InvalidSizeError(KnowmapError):

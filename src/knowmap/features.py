@@ -85,16 +85,16 @@ def apply_fluctuation(
     seed: int,
     magnitude: float,
     *,
-    node_ids: Sequence[str],
+    keys: np.ndarray,
     step: int,
 ) -> np.ndarray:
-    """Feature rows, one per node id, of features jittered by uniform draws in ±magnitude.
+    """Feature rows, one per stream key, of features jittered by uniform draws in ±magnitude.
 
     CPU and memory are scaled by (1 + u) with u drawn from the node's own
-    stream, seeded by (seed, node id, step), so the same inputs always give
-    the same rows.  Results are clamped back into the metric invariants.
+    stream, seeded by (seed, node_keys key, step), so the same inputs always
+    give the same rows.  Results are clamped back into the metric invariants.
     """
-    draws = fluctuation_draws(seed, magnitude, node_keys(node_ids), step)
+    draws = fluctuation_draws(seed, magnitude, keys, step)
     cpu = np.clip(features.cpu_usage * (1.0 + draws[:, 0]), 0.0, 1.0)
     mem = np.clip(features.mem_available * (1.0 + draws[:, 1]), 0.0, features.mem_total)
     return np.column_stack([cpu, mem / features.mem_total, np.ones(len(cpu))])

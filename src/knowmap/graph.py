@@ -1,9 +1,9 @@
-"""In-memory property graph and deterministic topology builders.
+"""The network as a padded neighbour table, and deterministic topology builders.
 
-Nodes carry one or more type labels plus a flat property map; edges are
-directed, typed triples.  Undirected network links are stored as a pair of
-directed triples so that in-neighborhoods coincide with the undirected
-neighborhoods of the simulated networks.
+A graph is its sorted node ids plus, for every node, the ascending positions
+of its neighbours padded to the largest degree: the fixed-size adjacency the
+embedding rounds read (GraphSAGE, Hamilton et al. 2017).  Every link is
+undirected, so in- and out-neighbourhoods coincide.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
     DuplicateNodeError,
-    EmptyLabelsError,
     InvalidSizeError,
     MissingEndpointError,
     UnknownNodeError,
@@ -26,8 +25,6 @@ from .errors import (
 
 CONNECTED_TO = "CONNECTED_TO"
 COMPUTATIONAL_NODE = "ComputationalNode"
-
-Scalar = Any  # str | int | float | bool
 
 
 class TopologyKind(Enum):
@@ -39,132 +36,75 @@ class TopologyKind(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class NeighborTable:
-    """Padded adjacency of a graph, one row per node in node_ids order.
+class KnowledgeGraph:
+    """Undirected graph as a padded neighbour table; immutable, so safe to share.
 
-    Row i holds the positions of node i's in-neighbors, padded on the right with n.
+    Row i of index holds the positions (into node_ids) of node i's
+    neighbours in ascending order, padded on the right with n.
     """
 
-    node_ids: list[str]
+    node_ids: list[str]  # sorted
     index: np.ndarray  # (n, max degree) positions, padded with n
     degree: np.ndarray  # (n,)
 
-
-class KnowledgeGraph:
-    """Directed labeled graph with typed edges and per-node property maps.
-
-    Mutation is only intended during construction (single-threaded); built
-    graphs are treated as immutable and are safe to share across workers.
-    """
-
-    def __init__(self) -> None:
-        self._labels: dict[str, frozenset[str]] = {}
-        self._properties: dict[str, dict[str, Scalar]] = {}
-        self._edges: set[tuple[str, str, str]] = set()
-        self._in_neighbors: dict[str, set[str]] = {}
-
-    def add_node(
-        self,
-        node_id: str,
-        labels: Iterable[str],
-        properties: dict[str, Scalar] | None = None,
-    ) -> None:
-        """Insert a node; every node needs a unique id and at least one label."""
-        if not node_id:
+    @classmethod
+    def from_links(cls, names: Sequence[str], links: Any) -> KnowledgeGraph:
+        """Graph on names whose undirected links are (m, 2) positions into names."""
+        n = len(names)
+        if not all(names):
             raise UnknownNodeError("node id must be a non-empty string")
-        if node_id in self._labels:
-            raise DuplicateNodeError(f"node {node_id!r} already exists")
-        label_set = frozenset(labels)
-        if not label_set:
-            raise EmptyLabelsError(f"node {node_id!r} needs at least one label")
-        self._labels[node_id] = label_set
-        self._properties[node_id] = dict(properties or {})
-        self._in_neighbors[node_id] = set()
-
-    def add_edge(self, source: str, relation: str, target: str) -> None:
-        """Insert the directed triple (source, relation, target) exactly once."""
-        for endpoint in (source, target):
-            if endpoint not in self._labels:
-                raise MissingEndpointError(f"edge endpoint {endpoint!r} is not a node")
-        triple = (source, relation, target)
-        if triple in self._edges:
-            raise DuplicateEdgeError(f"edge {triple} already exists")
-        self._edges.add(triple)
-        self._in_neighbors[target].add(source)
-
-    def add_link(self, a: str, b: str, relation: str = CONNECTED_TO) -> None:
-        """Insert an undirected link as two directed triples."""
-        self.add_edge(a, relation, b)
-        self.add_edge(b, relation, a)
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._labels
-
-    def node_ids(self) -> list[str]:
-        """All node ids, sorted lexicographically."""
-        return sorted(self._labels)
-
-    def labels(self, node_id: str) -> frozenset[str]:
-        self._require(node_id)
-        return self._labels[node_id]
-
-    def properties(self, node_id: str) -> dict[str, Scalar]:
-        self._require(node_id)
-        return dict(self._properties[node_id])
-
-    def edges(self) -> list[tuple[str, str, str]]:
-        """All directed triples, sorted for deterministic iteration."""
-        return sorted(self._edges)
+        order = sorted(range(n), key=names.__getitem__)
+        node_ids = [names[i] for i in order]
+        for a, b in zip(node_ids, node_ids[1:]):
+            if a == b:
+                raise DuplicateNodeError(f"node {a!r} already exists")
+        links = np.asarray(links, dtype=np.intp).reshape(len(links), 2)
+        if links.size and (links.min() < 0 or links.max() >= n):
+            raise MissingEndpointError(f"link endpoints must be positions in [0, {n})")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        a, b = rank[links[:, 0]], rank[links[:, 1]]
+        # Both directions of every link, sorted by node, then neighbour.  A
+        # self link, or a link given twice in either orientation, repeats a pair.
+        node, neighbor = np.concatenate([a, b]), np.concatenate([b, a])
+        by_node = np.lexsort((neighbor, node))
+        node, neighbor = node[by_node], neighbor[by_node]
+        if ((node[1:] == node[:-1]) & (neighbor[1:] == neighbor[:-1])).any():
+            raise DuplicateEdgeError("links must join two distinct nodes at most once")
+        degree = np.bincount(node, minlength=n)
+        starts = np.cumsum(degree) - degree
+        index = np.full((n, int(degree.max(initial=0))), n, dtype=np.intp)
+        index[node, np.arange(len(node)) - starts[node]] = neighbor
+        return cls(node_ids=node_ids, index=index, degree=degree)
 
     @property
     def node_count(self) -> int:
-        return len(self._labels)
+        return len(self.node_ids)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    def neighbors(self, node_id: str) -> list[str]:
-        """Ids with a directed edge into ``node_id``, sorted lexicographically."""
-        self._require(node_id)
-        return sorted(self._in_neighbors[node_id])
-
-    def degree(self, node_id: str) -> int:
-        """Undirected degree: number of distinct in-neighbors."""
-        return len(self.neighbors(node_id))
-
-    def neighbor_table(self) -> NeighborTable:
-        """Padded neighbor positions of every node, rows in node_ids() order."""
-        ids = self.node_ids()
-        position = {node_id: i for i, node_id in enumerate(ids)}
-        rows = [[position[u] for u in self.neighbors(v)] for v in ids]
-        degree = np.array([len(row) for row in rows], dtype=np.intp)
-        index = np.full((len(ids), int(degree.max(initial=0))), len(ids), dtype=np.intp)
-        for i, row in enumerate(rows):
-            index[i, : len(row)] = row
-        return NeighborTable(node_ids=ids, index=index, degree=degree)
+        """Directed count: every undirected link counts once in each direction."""
+        return int(self.degree.sum())
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot as a JSON-compatible dict with deterministic ordering."""
+        """JSON-compatible snapshot: ComputationalNode nodes without properties,
+        each link as two CONNECTED_TO triples, sorted by source, then target."""
+        ids = self.node_ids
         return {
             "nodes": [
-                {
-                    "id": node_id,
-                    "labels": sorted(self._labels[node_id]),
-                    "properties": dict(sorted(self._properties[node_id].items())),
-                }
-                for node_id in self.node_ids()
+                {"id": node_id, "labels": [COMPUTATIONAL_NODE], "properties": {}}
+                for node_id in ids
             ],
-            "edges": [{"s": s, "r": r, "t": t} for s, r, t in self.edges()],
+            "edges": [
+                {"s": source, "r": CONNECTED_TO, "t": ids[target]}
+                for source, row, degree in zip(ids, self.index.tolist(), self.degree.tolist())
+                for target in row[:degree]
+            ],
         }
 
     def canonical_json(self, indent: int | None = 2) -> str:
         """Canonical snapshot serialization (sorted keys, stable order)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def _require(self, node_id: str) -> None:
-        if node_id not in self._labels:
-            raise UnknownNodeError(f"unknown node {node_id!r}")
 
 
 def node_name(index: int) -> str:
@@ -172,29 +112,19 @@ def node_name(index: int) -> str:
 
 
 def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
-    """Build one of the three experimental networks with ``n`` nodes.
+    """Build one of the three experimental networks on "node-0" .. "node-(n-1)".
 
-    Nodes are labeled ComputationalNode with ids "node-0" .. "node-(n-1)";
-    every link is a bidirectional pair of CONNECTED_TO triples.
+    Ring links i to i+1 mod n, line links i to i+1, and full links every pair.
     """
     minimum = 3 if kind is TopologyKind.RING else 2
     if n < minimum:
         raise InvalidSizeError(f"{kind.value} topology needs at least {minimum} nodes, got {n}")
 
-    # One string per node, shared by every triple that names it.
-    names = [node_name(i) for i in range(n)]
-    kg = KnowledgeGraph()
-    for name in names:
-        kg.add_node(name, {COMPUTATIONAL_NODE})
-
+    i = np.arange(n)
     if kind is TopologyKind.RING:
-        for i in range(n):
-            kg.add_link(names[i], names[(i + 1) % n])
+        links = np.column_stack([i, (i + 1) % n])
     elif kind is TopologyKind.LINE:
-        for i in range(n - 1):
-            kg.add_link(names[i], names[i + 1])
+        links = np.column_stack([i[:-1], i[1:]])
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                kg.add_link(names[i], names[j])
-    return kg
+        links = np.column_stack(np.triu_indices(n, k=1))
+    return KnowledgeGraph.from_links([node_name(k) for k in range(n)], links)

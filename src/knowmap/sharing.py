@@ -11,7 +11,7 @@ import numpy as np
 
 from .embedding import Activation, Layer, embedding_round, write_embedding_csv
 from .errors import EmptyInputError, NonFiniteValueError
-from .graph import NeighborTable
+from .graph import KnowledgeGraph
 
 DEFAULT_MAX_ROUNDS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -55,7 +55,7 @@ def states_delta(before: np.ndarray, after: np.ndarray) -> float:
 
 
 def run_sharing(
-    table: NeighborTable,
+    graph: KnowledgeGraph,
     states: np.ndarray,
     layer: Layer,
     activation: Activation = Activation.SIGMOID,
@@ -65,18 +65,18 @@ def run_sharing(
 
     Rounds are synchronous: all nodes update from the same pre-round
     snapshot, so the result is independent of node iteration order.
-    states holds one row per node in table.node_ids order.
+    states holds one row per node in graph.node_ids order.
     """
     current = np.asarray(states, dtype=float)
     rounds_used, converged, final_delta = 0, False, 0.0
     while rounds_used < config.max_rounds and not converged:
         rounds_used += 1
-        updated = embedding_round(table, current, layer, activation, rounds_used)
+        updated = embedding_round(graph, current, layer, activation, rounds_used)
         final_delta = states_delta(current, updated)
         current = updated
         converged = config.tolerance > 0.0 and final_delta < config.tolerance
     return KnowledgeMap(
-        entries=dict(zip(table.node_ids, current)),
+        entries=dict(zip(graph.node_ids, current)),
         rounds_used=rounds_used,
         converged=converged,
         final_delta=final_delta,

@@ -41,7 +41,7 @@ def summarize(config: DriftConfig) -> dict[str, list]:
     entries = result.baseline_map.entries
     return {
         "centroid_distance": [float(d) for d in result.centroid_distances],
-        "baseline_map": [[float(x) for x in entries[v]] for v in result.graph.node_ids()],
+        "baseline_map": [[float(x) for x in entries[v]] for v in result.graph.node_ids],
         "projection_x": [float(x) for x in result.projection[:, 0]],
         "projection_y": [float(y) for y in result.projection[:, 1]],
     }

@@ -5,18 +5,15 @@ from xml.etree import ElementTree
 
 import pytest
 
-from knowmap.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    EXIT_RUNTIME,
+from knowmap.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
+from knowmap.drift import (
+    DEFAULT_BASELINE,
+    DEFAULT_SEED,
     KNOWLEDGE_MAP_FILE,
     METRICS_FILE,
     PLOT_FILE,
     PROJECTION_FILE,
-    build_parser,
-    main,
 )
-from knowmap.drift import DEFAULT_BASELINE, DEFAULT_SEED
 from knowmap.embedding import DEFAULT_DIMENSION, DEFAULT_ROUNDS
 from knowmap.features import DEFAULT_MAGNITUDE
 from knowmap.sharing import DEFAULT_TOLERANCE

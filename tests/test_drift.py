@@ -136,7 +136,7 @@ def test_run_shapes_and_defaults():
     assert len(result.step_maps) == len(DEFAULT_SWEEP)
     assert result.projection.shape == (5 + len(DEFAULT_SWEEP), 2)
     # one input round plus one sharing round per step at the default depth
-    assert result.rounds_used == [2] * len(DEFAULT_SWEEP)
+    assert [m.rounds_used for m in result.step_maps] == [2] * len(DEFAULT_SWEEP)
     assert result.projection_labels[:5] == [f"baseline:node-{i}" for i in range(5)]
     assert result.projection_labels[5:] == ["target:node-0"] * len(DEFAULT_SWEEP)
     assert result.projection_workloads == [50] * 5 + list(DEFAULT_SWEEP)
@@ -200,7 +200,7 @@ def test_zero_fluctuation_still_separates_the_sweep():
 
 def test_sharing_tolerance_can_stop_deep_runs_early():
     deep = run_drift(quick_config(rounds=30, sharing_tolerance=1e-3))
-    assert max(deep.rounds_used) < 30
+    assert max(m.rounds_used for m in deep.step_maps) < 30
 
 
 def test_metrics_json_content(tmp_path):

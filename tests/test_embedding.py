@@ -26,7 +26,7 @@ from knowmap.errors import (
     NodeSetMismatchError,
     ZeroVectorError,
 )
-from knowmap.graph import KnowledgeGraph, NeighborTable, TopologyKind, build_topology
+from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 
 vectors3 = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -119,15 +119,13 @@ def test_aggregate_is_permutation_invariant(vecs, rnd):
 
 
 def isolated(node_id="solo"):
-    graph = KnowledgeGraph()
-    graph.add_node(node_id, {"ComputationalNode"})
-    return graph.neighbor_table()
+    return KnowledgeGraph.from_links([node_id], [])
 
 
 def test_normalize_unit_length():
-    table = build_topology(TopologyKind.RING, 5).neighbor_table()
+    graph = build_topology(TopologyKind.RING, 5)
     states = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 3))
-    out = embedding_round(table, states, init_layer(3, 4, [3, 0]), Activation.IDENTITY)
+    out = embedding_round(graph, states, init_layer(3, 4, [3, 0]), Activation.IDENTITY)
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
     with pytest.raises(ZeroVectorError):
         embedding_round(isolated(), np.zeros((1, 2)), identity_layer(), Activation.IDENTITY)
@@ -138,7 +136,7 @@ def test_layer_forward_identity_example():
     # whose unit form is [3,2]/sqrt(13); the other node sees the same sum
     graph = build_topology(TopologyKind.LINE, 2)
     states = np.array([[1.0, 2.0], [2.0, 0.0]])
-    out = embedding_round(graph.neighbor_table(), states, identity_layer(), Activation.IDENTITY)
+    out = embedding_round(graph, states, identity_layer(), Activation.IDENTITY)
     for row in out:
         assert row[0] == 0.8320502943378437
         assert row[1] == 0.5547001962252291
@@ -149,7 +147,7 @@ def test_layer_forward_middle_of_a_line():
     # [0.5, 1] joins the self term for [1.5, 1], normalized to [3,2]/sqrt(13)
     graph = build_topology(TopologyKind.LINE, 3)
     states = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    out = embedding_round(graph.neighbor_table(), states, identity_layer(), Activation.IDENTITY)
+    out = embedding_round(graph, states, identity_layer(), Activation.IDENTITY)
     assert out[1][0] == 0.8320502943378437
     assert out[1][1] == 0.5547001962252291
 
@@ -163,13 +161,13 @@ def test_layer_forward_without_neighbors():
 
 def test_layer_forward_is_neighbor_order_invariant():
     rng = np.random.default_rng(6)
-    table = build_topology(TopologyKind.FULLY_CONNECTED, 6).neighbor_table()
+    graph = build_topology(TopologyKind.FULLY_CONNECTED, 6)
     layer = init_layer(3, 3, [5, 0])
     states = rng.uniform(-1.0, 1.0, (6, 3))
-    reference = embedding_round(table, states, layer, Activation.SIGMOID)
+    reference = embedding_round(graph, states, layer, Activation.SIGMOID)
     for _ in range(100):
-        shuffled = rng.permuted(table.index, axis=1)
-        reordered = NeighborTable(table.node_ids, shuffled, table.degree)
+        shuffled = rng.permuted(graph.index, axis=1)
+        reordered = KnowledgeGraph(graph.node_ids, shuffled, graph.degree)
         assert np.allclose(
             embedding_round(reordered, states, layer, Activation.SIGMOID), reference, atol=1e-12
         )
@@ -180,7 +178,7 @@ def test_layer_forward_zero_weights_sigmoid():
     layer = Layer(np.zeros((2, 2)), np.zeros((2, 2)))
     graph = build_topology(TopologyKind.LINE, 2)
     out = embedding_round(
-        graph.neighbor_table(), np.array([[1.0, -1.0], [2.0, 2.0]]), layer, Activation.SIGMOID
+        graph, np.array([[1.0, -1.0], [2.0, 2.0]]), layer, Activation.SIGMOID
     )
     assert np.allclose(out, [[1.0 / np.sqrt(2.0)] * 2] * 2)
 
@@ -191,7 +189,7 @@ def test_layer_forward_relu_can_hit_zero():
     layer = Layer(np.eye(2), np.zeros((2, 2)))
     states = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     with pytest.raises(ZeroVectorError, match=r"round 4 left node 'node-2' all zero"):
-        embedding_round(graph.neighbor_table(), states, layer, Activation.RELU, round_index=4)
+        embedding_round(graph, states, layer, Activation.RELU, round_index=4)
 
 
 def test_layer_forward_checks_input_dim():
@@ -204,7 +202,7 @@ def test_layer_forward_checks_input_dim():
 def ring_states(n=4, dim=3, seed=0):
     graph = build_topology(TopologyKind.RING, n)
     rng = np.random.default_rng(seed)
-    return graph, {v: rng.uniform(0.1, 1.0, dim) for v in graph.node_ids()}
+    return graph, {v: rng.uniform(0.1, 1.0, dim) for v in graph.node_ids}
 
 
 def test_embedding_round_is_synchronous():
@@ -216,9 +214,10 @@ def test_embedding_round_is_synchronous():
     forward = embed_graph(graph, states, config)
     again = embed_graph(graph, dict(reversed(list(states.items()))), config)
     input_layer, _ = init_layers(config)
-    for v in graph.node_ids():
+    for v in graph.node_ids:
         assert forward[v].tobytes() == again[v].tobytes()
-        neighbors = np.mean([states[u] for u in graph.neighbors(v)], axis=0)
+        k = int(v.split("-")[1])  # ring-4 neighbours k-1 and k+1, wrapping
+        neighbors = np.mean([states[node_name((k + s) % 4)] for s in (-1, 1)], axis=0)
         mixed = input_layer.self_weights @ states[v] + input_layer.neighbor_weights @ neighbors
         expected = Activation.SIGMOID.apply(mixed)
         assert np.allclose(forward[v], expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
@@ -235,7 +234,7 @@ def test_embed_graph_output_is_unit_norm():
     graph, states = ring_states(n=5)
     config = EmbeddingConfig(dimension=4, rounds=3, weight_seed=1)
     result = embed_graph(graph, states, config)
-    assert set(result) == set(graph.node_ids())
+    assert set(result) == set(graph.node_ids)
     for v in result:
         assert abs(np.linalg.norm(result[v]) - 1.0) < 1e-12
 
@@ -253,10 +252,10 @@ def test_embed_graph_matches_last_round():
 def test_identical_features_embed_identically_on_a_regular_graph():
     # full graph symmetry: every node sees the same self and neighborhood
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 5)
-    vectors = {v: np.array([0.5, 0.5, 1.0]) for v in graph.node_ids()}
+    vectors = {v: np.array([0.5, 0.5, 1.0]) for v in graph.node_ids}
     result = embed_graph(graph, vectors, EmbeddingConfig(dimension=4, weight_seed=2))
     reference = result["node-0"]
-    for v in graph.node_ids():
+    for v in graph.node_ids:
         assert reference.tobytes() == result[v].tobytes()
 
 
@@ -270,16 +269,16 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
     # row i of the relabelled problem is node perm[i]: permuting the states
     # and the neighbour table permutes the output rows the same way
     perm = np.array(data.draw(st.permutations(range(n))))
-    table = build_topology(kind, n).neighbor_table()
+    graph = build_topology(kind, n)
     position = np.append(np.argsort(perm), n)  # the pad value n stays n
-    relabelled = NeighborTable(
-        node_ids=[table.node_ids[i] for i in perm],
-        index=position[table.index[perm]],
-        degree=table.degree[perm],
+    relabelled = KnowledgeGraph(
+        node_ids=[graph.node_ids[i] for i in perm],
+        index=position[graph.index[perm]],
+        degree=graph.degree[perm],
     )
     states = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3))
     layer, _ = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
-    expected = embedding_round(table, states, layer, Activation.SIGMOID)[perm]
+    expected = embedding_round(graph, states, layer, Activation.SIGMOID)[perm]
     got = embedding_round(relabelled, states[perm], layer, Activation.SIGMOID)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
@@ -291,20 +290,19 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
     activation=st.sampled_from(list(Activation)),
 )
 def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row, activation):
-    table = build_topology(TopologyKind.FULLY_CONNECTED, n).neighbor_table()
+    graph = build_topology(TopologyKind.FULLY_CONNECTED, n)
     input_layer, hidden_layer = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
     states = np.tile(row, (n, 1))
     try:
         for layer in (input_layer, hidden_layer, hidden_layer):
-            states = embedding_round(table, states, layer, activation)
+            states = embedding_round(graph, states, layer, activation)
             np.testing.assert_allclose(states, np.tile(states[0], (n, 1)), rtol=0, atol=1e-14)
     except ZeroVectorError:
         pass  # relu or identity can send the shared row to zero: no map to compare
 
 
 def test_single_isolated_node_is_its_own_context():
-    graph = KnowledgeGraph()
-    graph.add_node("solo", {"ComputationalNode"})
+    graph = KnowledgeGraph.from_links(["solo"], [])
     config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=4)
     result = embed_graph(graph, {"solo": np.array([0.2, 0.8, 1.0])}, config)
     input_layer, _ = init_layers(config)

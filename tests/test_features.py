@@ -89,22 +89,22 @@ def test_feature_vector_never_zero():
 
 def test_fluctuation_is_deterministic():
     f = features_at(50)
-    a = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
-    b = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
+    a = apply_fluctuation(f, 42, 0.02, keys=node_keys(["node-1"]), step=3)
+    b = apply_fluctuation(f, 42, 0.02, keys=node_keys(["node-1"]), step=3)
     assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"seed": 43, "node_ids": ["node-1"], "step": 3},
-        {"seed": 42, "node_ids": ["node-2"], "step": 3},
-        {"seed": 42, "node_ids": ["node-1"], "step": 4},
+        {"seed": 43, "keys": node_keys(["node-1"]), "step": 3},
+        {"seed": 42, "keys": node_keys(["node-2"]), "step": 3},
+        {"seed": 42, "keys": node_keys(["node-1"]), "step": 4},
     ],
 )
 def test_fluctuation_streams_are_independent(kwargs):
     f = features_at(50)
-    reference = apply_fluctuation(f, 42, 0.02, node_ids=["node-1"], step=3)
+    reference = apply_fluctuation(f, 42, 0.02, keys=node_keys(["node-1"]), step=3)
     seed = kwargs.pop("seed")
     other = apply_fluctuation(f, seed, 0.02, **kwargs)
     assert not np.array_equal(other, reference)
@@ -114,21 +114,21 @@ def test_fluctuation_stays_in_band():
     # multiplicative +/-2% around cpu 0.5 lands in [0.49, 0.51]
     f = features_at(50)
     for step in range(200):
-        (g,) = apply_fluctuation(f, 7, 0.02, node_ids=["node-0"], step=step)
+        (g,) = apply_fluctuation(f, 7, 0.02, keys=node_keys(["node-0"]), step=step)
         assert 0.49 <= g[0] <= 0.51
         assert 4096.0 * 0.98 <= g[1] * f.mem_total <= 4096.0 * 1.02
 
 
 def test_zero_magnitude_is_identity():
     f = features_at(50)
-    rows = apply_fluctuation(f, 42, 0.0, node_ids=["node-1", "node-2"], step=0)
+    rows = apply_fluctuation(f, 42, 0.0, keys=node_keys(["node-1", "node-2"]), step=0)
     assert np.array_equal(rows, [feature_vector(f)] * 2)
 
 
 @pytest.mark.parametrize("magnitude", [0.1, 0.5, -0.01, 1.0])
 def test_magnitude_range_enforced(magnitude):
     with pytest.raises(MagnitudeOutOfRangeError):
-        apply_fluctuation(features_at(50), 42, magnitude, node_ids=["n"], step=0)
+        apply_fluctuation(features_at(50), 42, magnitude, keys=node_keys(["n"]), step=0)
 
 
 @given(
@@ -139,7 +139,7 @@ def test_magnitude_range_enforced(magnitude):
 )
 def test_fluctuation_preserves_invariants(w, seed, step, magnitude):
     rows = apply_fluctuation(
-        features_at(w), seed, magnitude, node_ids=["node-3", "node-4"], step=step
+        features_at(w), seed, magnitude, keys=node_keys(["node-3", "node-4"]), step=step
     )
     assert np.all((0.0 <= rows[:, :2]) & (rows[:, :2] <= 1.0))
     assert np.all(rows[:, 2] == 1.0)
@@ -149,7 +149,7 @@ def test_fluctuation_clamps_at_full_load():
     # cpu 1.0 scaled up would leave [0, 1]; the clamp must catch it
     f = features_at(100)
     for step in range(50):
-        rows = apply_fluctuation(f, 11, 0.05, node_ids=["node-0"], step=step)
+        rows = apply_fluctuation(f, 11, 0.05, keys=node_keys(["node-0"]), step=step)
         assert rows[0, 0] <= 1.0
 
 
@@ -184,7 +184,7 @@ def test_batched_rows_match_the_per_node_formula():
     # the rows run_drift settles on, computed node by node as before batching
     f = features_at(100)
     node_ids = [f"node-{i}" for i in range(50)]
-    rows = apply_fluctuation(f, 42, 0.05, node_ids=node_ids, step=3)
+    rows = apply_fluctuation(f, 42, 0.05, keys=node_keys(node_ids), step=3)
     for node_id, row in zip(node_ids, rows):
         digest = hashlib.blake2b(node_id.encode("utf-8"), digest_size=8).digest()
         u_cpu, u_mem = numpy_draws(42, 0.05, int.from_bytes(digest, "big"), 3)

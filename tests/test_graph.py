@@ -1,13 +1,15 @@
-"""Property-graph store and topology builder tests."""
+"""Padded neighbour-table graph and topology builder tests."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from knowmap.errors import (
     DuplicateEdgeError,
     DuplicateNodeError,
-    EmptyLabelsError,
     InvalidSizeError,
     MissingEndpointError,
     UnknownNodeError,
@@ -22,97 +24,57 @@ from knowmap.graph import (
 )
 
 
+def neighbors(graph, node_id):
+    """Ids in node_id's row of the table, in row order."""
+    i = graph.node_ids.index(node_id)
+    return [graph.node_ids[j] for j in graph.index[i, : graph.degree[i]]]
+
+
 def small_graph():
-    kg = KnowledgeGraph()
-    kg.add_node("a", {"Server"}, {"cpu": 0.5})
-    kg.add_node("b", {"Server", "Edge"})
-    kg.add_edge("a", "ROUTES_TO", "b")
-    return kg
-
-
-def test_add_node_stores_labels_and_properties():
-    kg = small_graph()
-    assert kg.has_node("a")
-    assert kg.labels("a") == frozenset({"Server"})
-    assert kg.labels("b") == frozenset({"Server", "Edge"})
-    assert kg.properties("a") == {"cpu": 0.5}
-    assert kg.properties("b") == {}
-    assert kg.node_count == 2
-
-
-def test_properties_returns_a_copy():
-    kg = small_graph()
-    kg.properties("a")["cpu"] = 99
-    assert kg.properties("a") == {"cpu": 0.5}
+    # c-a and b-a, given out of name order and in both orientations
+    return KnowledgeGraph.from_links(["c", "a", "b"], [[0, 1], [1, 2]])
 
 
 def test_duplicate_node_rejected():
-    kg = small_graph()
     with pytest.raises(DuplicateNodeError):
-        kg.add_node("a", {"Server"})
-
-
-def test_node_needs_a_label():
-    kg = KnowledgeGraph()
-    with pytest.raises(EmptyLabelsError):
-        kg.add_node("x", [])
+        KnowledgeGraph.from_links(["a", "b", "a"], [])
 
 
 def test_node_needs_an_id():
-    kg = KnowledgeGraph()
     with pytest.raises(UnknownNodeError):
-        kg.add_node("", {"Server"})
+        KnowledgeGraph.from_links(["a", ""], [])
 
 
 def test_edge_endpoints_must_exist():
-    kg = small_graph()
-    with pytest.raises(MissingEndpointError):
-        kg.add_edge("a", CONNECTED_TO, "ghost")
-    with pytest.raises(MissingEndpointError):
-        kg.add_edge("ghost", CONNECTED_TO, "a")
+    for link in ([0, 2], [2, 0], [-1, 0]):
+        with pytest.raises(MissingEndpointError):
+            KnowledgeGraph.from_links(["a", "b"], [link])
 
 
 def test_duplicate_edge_rejected():
-    kg = small_graph()
-    with pytest.raises(DuplicateEdgeError):
-        kg.add_edge("a", "ROUTES_TO", "b")
-    # same endpoints under a different relation are a distinct triple
-    kg.add_edge("a", CONNECTED_TO, "b")
-    assert kg.edge_count == 2
-
-
-def test_directed_edge_feeds_target_neighborhood_only():
-    kg = small_graph()
-    assert kg.neighbors("b") == ["a"]
-    assert kg.neighbors("a") == []
+    for links in ([[0, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 1]]):
+        with pytest.raises(DuplicateEdgeError):
+            KnowledgeGraph.from_links(["a", "b"], links)
 
 
 def test_add_link_is_bidirectional():
-    kg = KnowledgeGraph()
-    kg.add_node("a", {"Server"})
-    kg.add_node("b", {"Server"})
-    kg.add_link("a", "b")
-    assert kg.neighbors("a") == ["b"]
-    assert kg.neighbors("b") == ["a"]
+    kg = KnowledgeGraph.from_links(["a", "b"], [[0, 1]])
+    assert neighbors(kg, "a") == ["b"]
+    assert neighbors(kg, "b") == ["a"]
     assert kg.edge_count == 2
 
 
-def test_unknown_node_queries_raise():
-    kg = small_graph()
-    for query in (kg.labels, kg.properties, kg.neighbors, kg.degree):
-        with pytest.raises(UnknownNodeError):
-            query("ghost")
-
-
 def test_node_ids_and_edges_are_sorted():
-    kg = KnowledgeGraph()
-    for name in ("c", "a", "b"):
-        kg.add_node(name, {"Server"})
-    kg.add_edge("c", CONNECTED_TO, "a")
-    kg.add_edge("b", CONNECTED_TO, "a")
-    assert kg.node_ids() == ["a", "b", "c"]
-    assert kg.edges() == [("b", CONNECTED_TO, "a"), ("c", CONNECTED_TO, "a")]
-    assert kg.neighbors("a") == ["b", "c"]
+    kg = small_graph()
+    assert kg.node_ids == ["a", "b", "c"]
+    edges = [(e["s"], e["r"], e["t"]) for e in kg.to_dict()["edges"]]
+    assert edges == [
+        ("a", CONNECTED_TO, "b"),
+        ("a", CONNECTED_TO, "c"),
+        ("b", CONNECTED_TO, "a"),
+        ("c", CONNECTED_TO, "a"),
+    ]
+    assert neighbors(kg, "a") == ["b", "c"]
 
 
 def test_canonical_json_round_trips_and_is_stable():
@@ -127,8 +89,8 @@ def test_node_name_format():
     assert node_name(19) == "node-19"
 
 
-# directed triple counts: line n-1 links, ring n links, full n(n-1)/2 links,
-# each link stored as two triples
+# directed counts: line n-1 links, ring n links, full n(n-1)/2 links, each
+# link counted once in each direction
 @pytest.mark.parametrize(
     "kind,n,expected_edges",
     [
@@ -148,28 +110,29 @@ def test_topology_edge_counts(kind, n, expected_edges):
 
 def test_topology_degrees():
     ring = build_topology(TopologyKind.RING, 6)
-    assert all(ring.degree(v) == 2 for v in ring.node_ids())
+    assert list(ring.degree) == [2] * 6
     line = build_topology(TopologyKind.LINE, 6)
-    degrees = [line.degree(node_name(i)) for i in range(6)]
+    degrees = [int(line.degree[line.node_ids.index(node_name(i))]) for i in range(6)]
     assert degrees == [1, 2, 2, 2, 2, 1]
     full = build_topology(TopologyKind.FULLY_CONNECTED, 6)
-    assert all(full.degree(v) == 5 for v in full.node_ids())
+    assert list(full.degree) == [5] * 6
 
 
 def test_topology_nodes_are_labeled():
-    kg = build_topology(TopologyKind.RING, 3)
-    assert all(kg.labels(v) == frozenset({COMPUTATIONAL_NODE}) for v in kg.node_ids())
+    nodes = build_topology(TopologyKind.RING, 3).to_dict()["nodes"]
+    assert [node["labels"] for node in nodes] == [[COMPUTATIONAL_NODE]] * 3
+    assert [node["properties"] for node in nodes] == [{}] * 3
 
 
 def test_ring_wraps_around():
     kg = build_topology(TopologyKind.RING, 4)
-    assert kg.neighbors(node_name(0)) == [node_name(1), node_name(3)]
+    assert neighbors(kg, node_name(0)) == [node_name(1), node_name(3)]
 
 
 def test_line_does_not_wrap():
     kg = build_topology(TopologyKind.LINE, 4)
-    assert kg.neighbors(node_name(0)) == [node_name(1)]
-    assert kg.neighbors(node_name(3)) == [node_name(2)]
+    assert neighbors(kg, node_name(0)) == [node_name(1)]
+    assert neighbors(kg, node_name(3)) == [node_name(2)]
 
 
 @pytest.mark.parametrize(
@@ -193,24 +156,75 @@ def test_topology_build_is_deterministic():
     assert a.canonical_json() == b.canonical_json()
 
 
+# sha256 of `knowmap topology --kind K --nodes 12`; at 12 nodes the ids sort
+# non-numerically (node-0, node-1, node-10, node-11, node-2, ...)
+TOPOLOGY_12_SHA256 = {
+    TopologyKind.RING: "aee5f96873bc967e4b023be56d3d0a1a579464bf101d79f1ff6389e995cb5558",
+    TopologyKind.FULLY_CONNECTED: "cd0a14cff9a5c201805006d8f0773a9098dba17dc864ff0a45b6e22efa75e211",
+    TopologyKind.LINE: "f802c73b62a9e7f7f4f55e2a660e5b837c0c37a931536eb7bdb8508ae62e0e9a",
+}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_topology_json_is_pinned(kind):
+    text = build_topology(kind, 12).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_12_SHA256[kind]
+
+
 def test_neighbor_table_pads_rows_in_node_id_order():
     # ids sort as node-0, node-1, node-10, node-11, node-2, ...: positions
-    # follow that order, and short rows are padded with n
+    # follow that order, rows ascend, and short rows are padded with n
     kg = build_topology(TopologyKind.LINE, 12)
-    table = kg.neighbor_table()
-    assert table.node_ids == kg.node_ids()
-    assert table.index.shape == (12, 2)
-    for i, v in enumerate(table.node_ids):
-        row = [table.node_ids[j] for j in table.index[i, : table.degree[i]]]
-        assert row == kg.neighbors(v)
-        assert list(table.index[i, table.degree[i]:]) == [12] * (2 - table.degree[i])
-    assert list(table.degree) == [kg.degree(v) for v in table.node_ids]
+    assert kg.node_ids == sorted(node_name(i) for i in range(12))
+    assert kg.index.shape == (12, 2)
+    for i, v in enumerate(kg.node_ids):
+        k = int(v.split("-")[1])
+        expected = sorted(node_name(j) for j in (k - 1, k + 1) if 0 <= j < 12)
+        assert neighbors(kg, v) == expected
+        assert list(kg.index[i, kg.degree[i]:]) == [12] * (2 - kg.degree[i])
+        assert list(kg.index[i, : kg.degree[i]]) == sorted(kg.index[i, : kg.degree[i]])
 
 
 def test_neighbor_table_of_isolated_nodes_has_no_columns():
-    kg = KnowledgeGraph()
-    kg.add_node("a", {"Server"})
-    kg.add_node("b", {"Server"})
-    table = kg.neighbor_table()
-    assert table.index.shape == (2, 0)
-    assert list(table.degree) == [0, 0]
+    kg = KnowledgeGraph.from_links(["a", "b"], np.zeros((0, 2), dtype=int))
+    assert kg.index.shape == (2, 0)
+    assert list(kg.degree) == [0, 0]
+    assert kg.to_dict()["edges"] == []
+
+
+@st.composite
+def graphs_as_links(draw):
+    """Distinct names, a set of distinct non-self links, and a relabelling."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    n = len(names)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
+    return names, links, perm, flips
+
+
+@given(graphs_as_links(), st.randoms(use_true_random=False))
+def test_from_links_ignores_name_order_link_order_and_orientation(case, rnd):
+    names, links, perm, flips = case
+    reference = KnowledgeGraph.from_links(names, np.array(links, dtype=int).reshape(-1, 2))
+    # the same graph with names permuted, links shuffled and some reversed
+    position = {old: new for new, old in enumerate(perm)}
+    moved = [
+        (position[b], position[a]) if flip else (position[a], position[b])
+        for (a, b), flip in zip(links, flips)
+    ]
+    rnd.shuffle(moved)
+    other = KnowledgeGraph.from_links(
+        [names[i] for i in perm], np.array(moved, dtype=int).reshape(-1, 2)
+    )
+    assert other.node_ids == reference.node_ids == sorted(names)
+    assert np.array_equal(other.index, reference.index)
+    assert np.array_equal(other.degree, reference.degree)
+    for node_id in reference.node_ids:
+        expected = sorted(
+            names[b if names[a] == node_id else a]
+            for a, b in links
+            if node_id in (names[a], names[b])
+        )
+        assert neighbors(reference, node_id) == expected

@@ -27,12 +27,12 @@ from knowmap.sharing import (
 
 
 def ring_setup(n=5, dim=4, seed=3):
-    table = build_topology(TopologyKind.RING, n).neighbor_table()
+    graph = build_topology(TopologyKind.RING, n)
     config = EmbeddingConfig(dimension=dim, weight_seed=seed)
     input_layer, hidden_layer = init_layers(config)
     raw = np.random.default_rng(0).uniform(0.1, 1.0, (n, 3))
-    states = embedding_round(table, raw, input_layer, Activation.SIGMOID)
-    return table, states, hidden_layer
+    states = embedding_round(graph, raw, input_layer, Activation.SIGMOID)
+    return graph, states, hidden_layer
 
 
 def test_sharing_config_validation():
@@ -54,27 +54,27 @@ def test_states_delta_is_max_movement():
 
 
 def test_zero_tolerance_runs_exactly_max_rounds():
-    table, states, layer = ring_setup()
-    result = run_sharing(table, states, layer, config=SharingConfig(5, 0.0))
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer, config=SharingConfig(5, 0.0))
     assert result.rounds_used == 5
     assert not result.converged
     assert result.final_delta > 0.0
 
 
 def test_zero_max_rounds_returns_input():
-    table, states, layer = ring_setup()
-    result = run_sharing(table, states, layer, config=SharingConfig(0, 0.0))
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer, config=SharingConfig(0, 0.0))
     assert result.rounds_used == 0
     assert result.final_delta == 0.0
-    for i, v in enumerate(table.node_ids):
+    for i, v in enumerate(graph.node_ids):
         assert np.array_equal(result.entries[v], states[i])
 
 
 def test_sharing_converges_on_uniform_ring():
     # the sigmoid layer is a contraction here, so the default tolerance
     # is reached well before the round cap
-    table, states, layer = ring_setup()
-    result = run_sharing(table, states, layer)
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer)
     assert result.converged
     assert result.rounds_used < SharingConfig().max_rounds
     assert result.final_delta < SharingConfig().tolerance
@@ -83,34 +83,34 @@ def test_sharing_converges_on_uniform_ring():
 
 
 def test_one_round_equals_direct_layer_application():
-    table, states, layer = ring_setup()
-    result = run_sharing(table, states, layer, config=SharingConfig(1, 0.0))
-    direct = embedding_round(table, states, layer, Activation.SIGMOID)
-    for i, v in enumerate(table.node_ids):
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer, config=SharingConfig(1, 0.0))
+    direct = embedding_round(graph, states, layer, Activation.SIGMOID)
+    for i, v in enumerate(graph.node_ids):
         assert np.array_equal(result.entries[v], direct[i])
 
 
 def test_sharing_is_deterministic():
-    table, states, layer = ring_setup()
-    a = run_sharing(table, states, layer)
-    b = run_sharing(table, states, layer)
+    graph, states, layer = ring_setup()
+    a = run_sharing(graph, states, layer)
+    b = run_sharing(graph, states, layer)
     assert a.rounds_used == b.rounds_used
     assert a.final_delta == b.final_delta
-    for v in table.node_ids:
+    for v in graph.node_ids:
         assert a.entries[v].tobytes() == b.entries[v].tobytes()
 
 
 def test_uniform_features_collapse_is_avoided_by_normalization():
     # identical inputs give identical (not zero) embeddings on a regular graph
-    table = build_topology(TopologyKind.RING, 5).neighbor_table()
+    graph = build_topology(TopologyKind.RING, 5)
     vectors = np.array([feature_vector(features_at(50))] * 5)
     config = EmbeddingConfig(dimension=4, weight_seed=2)
     input_layer, hidden_layer = init_layers(config)
-    states = embedding_round(table, vectors, input_layer, Activation.SIGMOID)
-    result = run_sharing(table, states, hidden_layer)
+    states = embedding_round(graph, vectors, input_layer, Activation.SIGMOID)
+    result = run_sharing(graph, states, hidden_layer)
     reference = result.entries["node-0"]
     assert np.linalg.norm(reference) > 0.0
-    for v in table.node_ids:
+    for v in graph.node_ids:
         assert np.allclose(result.entries[v], reference)
 
 
@@ -130,8 +130,8 @@ def test_knowledge_map_dict_shape():
 
 
 def test_knowledge_map_json_is_reproducible(tmp_path):
-    table, states, layer = ring_setup()
-    result = run_sharing(table, states, layer)
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_knowledge_map_json(a, result)
     write_knowledge_map_json(b, result)
@@ -144,32 +144,32 @@ def test_knowledge_map_json_is_reproducible(tmp_path):
 def test_information_spreads_one_hop_per_round():
     # a single divergent node on a line contaminates exactly one extra
     # neighbour per synchronous round; everything farther is bit-identical
-    table = build_topology(TopologyKind.LINE, 7).neighbor_table()
+    graph = build_topology(TopologyKind.LINE, 7)
     _, hidden_layer = init_layers(EmbeddingConfig(weight_seed=5))
     dim = hidden_layer.out_dim
     base = np.linspace(0.2, 0.9, dim)
     odd = np.linspace(0.9, 0.2, dim)
     uniform = np.tile(base / np.linalg.norm(base), (7, 1))
     seeded = uniform.copy()
-    seeded[table.node_ids.index(node_name(0))] = odd / np.linalg.norm(odd)
+    seeded[graph.node_ids.index(node_name(0))] = odd / np.linalg.norm(odd)
     for rounds in range(1, 5):
         plain, touched = uniform, seeded
         for _ in range(rounds):
-            plain = embedding_round(table, plain, hidden_layer, Activation.SIGMOID)
-            touched = embedding_round(table, touched, hidden_layer, Activation.SIGMOID)
+            plain = embedding_round(graph, plain, hidden_layer, Activation.SIGMOID)
+            touched = embedding_round(graph, touched, hidden_layer, Activation.SIGMOID)
         differing = sorted(
-            v for v, p, t in zip(table.node_ids, plain, touched) if p.tobytes() != t.tobytes()
+            v for v, p, t in zip(graph.node_ids, plain, touched) if p.tobytes() != t.tobytes()
         )
         assert differing == [node_name(i) for i in range(rounds + 1)]
 
 
 def test_zero_row_error_names_the_sharing_round():
     # ReLU of [x1, 0] empties the row one round after [x0, x1] became [x1, 0]
-    table = build_topology(TopologyKind.LINE, 2).neighbor_table()
+    graph = build_topology(TopologyKind.LINE, 2)
     layer = Layer(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
     states = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero"):
-        run_sharing(table, states, layer, Activation.RELU, SharingConfig(5, 0.0))
+        run_sharing(graph, states, layer, Activation.RELU, SharingConfig(5, 0.0))
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):
