@@ -13,7 +13,6 @@ from .embedding import (
     EmbeddingConfig,
     Layer,
     aggregate,
-    embed_graph,
     embedding_round,
     embedding_rounds,
     init_layer,
@@ -50,7 +49,6 @@ __all__ = [
     "aggregate",
     "apply_fluctuation",
     "build_topology",
-    "embed_graph",
     "embedding_round",
     "export_result",
     "embedding_rounds",

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .drift import DEFAULT_BASELINE, DEFAULT_SEED, DriftConfig, export_result, run_drift
 from .embedding import (
     DEFAULT_DIMENSION,
@@ -122,11 +124,9 @@ def _run_embed(args: argparse.Namespace) -> int:
         dimension=args.dim, rounds=args.rounds, weight_seed=args.seed
     )
     graph = build_topology(TopologyKind(args.topology), args.nodes)
-    vectors = {
-        v: feature_vector(features_at(args.workload)) for v in graph.node_ids
-    }
-    snapshots = embedding_rounds(graph, vectors, config)
-    write_embedding_csv(args.out, snapshots)
+    features = np.tile(feature_vector(features_at(args.workload)), (graph.node_count, 1))
+    snapshots = embedding_rounds(graph, features, config)
+    write_embedding_csv(args.out, graph.node_ids, snapshots)
     print(
         f"wrote {args.out} ({graph.node_count} nodes x {len(snapshots)} rounds)"
     )
@@ -152,6 +152,8 @@ def _read_projection(path: str) -> tuple[list[str], list[int], list[list[float]]
                 points.append([float(row[2]), float(row[3])])
             except ValueError as exc:
                 raise MalformedCsvError(f"bad projection row {row}: {exc}") from exc
+            if not np.isfinite(points[-1]).all():
+                raise MalformedCsvError(f"non-finite coordinate in projection row {row}")
     if not points:
         raise MalformedCsvError(f"no data rows in {path}")
     return labels, workloads, points

@@ -147,7 +147,6 @@ def trajectory_metrics(
     workloads: Sequence[int],
     distances: Sequence[float],
     baseline: int,
-    tolerance: float = MONOTONE_TOLERANCE,
 ) -> TrajectoryMetrics:
     """Summarize a distance curve sampled at increasing workloads.
 
@@ -168,8 +167,8 @@ def trajectory_metrics(
     best = int(np.argmin(distances))
     left = [d for w, d in zip(workloads, distances) if w <= baseline]
     right = [d for w, d in zip(workloads, distances) if w >= baseline]
-    left_ok = all(b <= a + tolerance for a, b in zip(left, left[1:]))
-    right_ok = all(b >= a - tolerance for a, b in zip(right, right[1:]))
+    left_ok = all(b <= a + MONOTONE_TOLERANCE for a, b in zip(left, left[1:]))
+    right_ok = all(b >= a - MONOTONE_TOLERANCE for a, b in zip(right, right[1:]))
     return TrajectoryMetrics(
         min_distance_workload=int(workloads[best]),
         left_monotone=left_ok,
@@ -216,18 +215,16 @@ def run_drift(config: DriftConfig) -> DriftResult:
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
         step_map = _settle(graph, draw(step_index, pinned=workload), config)
-        peers = [step_map.entries[u] for u in graph.node_ids if u != target]
-        distance = float(np.linalg.norm(step_map.entries[target] - aggregate(peers)))
-        centroid_distances.append(distance)
-        target_rows.append(step_map.entries[target])
+        state = step_map.states[target_row]
+        centroid = aggregate(np.delete(step_map.states, target_row, axis=0))
+        centroid_distances.append(float(np.linalg.norm(state - centroid)))
+        target_rows.append(state)
         step_maps.append(step_map)
 
     labels = [f"baseline:{v}" for v in graph.node_ids]
     labels += [f"target:{target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
-    rows = np.stack(
-        [baseline_map.entries[v] for v in graph.node_ids] + target_rows
-    )
+    rows = np.vstack([baseline_map.states, *target_rows])
     try:
         model = fit_pca(rows, components=2)
         projection = transform(model, rows)

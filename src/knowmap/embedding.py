@@ -14,16 +14,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    NodeSetMismatchError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
 from .features import check_seed
 from .graph import KnowledgeGraph
 
@@ -120,14 +115,11 @@ def init_layers(config: EmbeddingConfig, in_dim: int = FEATURE_DIMENSION) -> tup
     return input_layer, hidden_layer
 
 
-def aggregate(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of a set of states, such as a node's peers.  Order must not matter."""
-    if len(vectors) == 0:
+def aggregate(states: np.ndarray) -> np.ndarray:
+    """Mean of an (m x d) set of states, such as a node's peers.  Order must not matter."""
+    if len(states) == 0:
         raise EmptyInputError("cannot aggregate an empty set of states")
-    dims = {v.shape for v in vectors}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"mixed vector shapes in aggregation: {dims}")
-    return np.mean(np.stack(vectors), axis=0)
+    return np.mean(states, axis=0)
 
 
 def embedding_round(
@@ -164,62 +156,46 @@ def embedding_round(
     return activated / norms[:, None]
 
 
-def embed_graph(
-    graph: KnowledgeGraph,
-    vectors: Mapping[str, np.ndarray],
-    config: EmbeddingConfig,
-) -> dict[str, np.ndarray]:
-    """Embed every node: one input round, then rounds-1 hidden rounds."""
-    return embedding_rounds(graph, vectors, config)[-1]
-
-
 def embedding_rounds(
     graph: KnowledgeGraph,
-    vectors: Mapping[str, np.ndarray],
+    features: np.ndarray,
     config: EmbeddingConfig,
-) -> list[dict[str, np.ndarray]]:
-    """Per-round embedding snapshots, index 0 holding the round-1 result."""
-    input_layer, hidden_layer = init_layers(config, in_dim=_input_dim(vectors))
-    if set(vectors) != set(graph.node_ids):
-        raise NodeSetMismatchError("vector keys must match the graph's node set")
-    features = np.array([vectors[v] for v in graph.node_ids], dtype=float)
+) -> list[np.ndarray]:
+    """Per-round (n x d) states from (n x k) features in node order; index 0 is round 1."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.size == 0:
+        raise DimensionMismatchError(
+            f"input features must be a non-empty (n x k) matrix, got shape {features.shape}"
+        )
+    input_layer, hidden_layer = init_layers(config, in_dim=features.shape[1])
     rounds = [embedding_round(graph, features, input_layer, config.activation)]
     for r in range(2, config.rounds + 1):
         rounds.append(embedding_round(graph, rounds[-1], hidden_layer, config.activation, r))
-    return [dict(zip(graph.node_ids, states)) for states in rounds]
-
-
-def _input_dim(vectors: Mapping[str, np.ndarray]) -> int:
-    if not vectors:
-        raise EmptyInputError("cannot embed an empty graph")
-    dims = {v.shape for v in vectors.values()}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"mixed input vector shapes: {dims}")
-    (shape,) = dims
-    if len(shape) != 1:
-        raise DimensionMismatchError(f"input vectors must be 1-D, got shape {shape}")
-    return shape[0]
+    return rounds
 
 
 def write_embedding_csv(
-    path: str | Path, snapshots: Sequence[Mapping[str, np.ndarray]], first_round: int = 1
+    path: str | Path,
+    node_ids: Sequence[str],
+    snapshots: Sequence[np.ndarray],
+    first_round: int = 1,
 ) -> None:
-    """Write per-round embeddings as CSV: node_id,round,e0..e{k-1}.
+    """Write per-round (n x k) state matrices as CSV: node_id,round,e0..e{k-1}.
 
     Rounds are numbered from first_round.  Rows are ordered by round, then
-    node id, and floats use repr-exact formatting so reruns are byte-identical.
+    node_ids order, and floats use repr-exact formatting so reruns are byte-identical.
     """
-    if len(snapshots) == 0 or len(snapshots[0]) == 0:
+    if len(snapshots) == 0 or len(node_ids) == 0:
         raise EmptyInputError("no embeddings to write")
-    dimension = len(next(iter(snapshots[0].values())))
+    dimension = snapshots[0].shape[1]
     header = ["node_id", "round"] + [f"e{i}" for i in range(dimension)]
     row = "%s,%d," + ",".join(["%.17g"] * dimension) + "\r\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for round_index, snapshot in enumerate(snapshots, start=first_round):
             handle.writelines(
-                row % (csv_field(node_id), round_index, *snapshot[node_id].tolist())
-                for node_id in sorted(snapshot)
+                row % (csv_field(node_id), round_index, *values)
+                for node_id, values in zip(node_ids, snapshot.tolist(), strict=True)
             )
 
 

@@ -49,10 +49,6 @@ class ZeroVectorError(KnowmapError):
     """Normalization hit an exactly-zero vector (degenerate layer output)."""
 
 
-class NodeSetMismatchError(KnowmapError):
-    """Two knowledge maps cover different node sets."""
-
-
 class DegenerateInputError(KnowmapError):
     """All input rows are identical; no principal directions exist."""
 

@@ -102,9 +102,9 @@ class KnowledgeGraph:
             ],
         }
 
-    def canonical_json(self, indent: int | None = 2) -> str:
+    def canonical_json(self) -> str:
         """Canonical snapshot serialization (sorted keys, stable order)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def node_name(index: int) -> str:

@@ -41,7 +41,8 @@ class SharingConfig:
 class KnowledgeMap:
     """Settled embeddings for every node plus how the loop ended."""
 
-    entries: dict[str, np.ndarray]
+    node_ids: list[str]
+    states: np.ndarray  # (n, d), row i is node_ids[i]
     rounds_used: int
     converged: bool
     final_delta: float
@@ -76,7 +77,8 @@ def run_sharing(
         current = updated
         converged = config.tolerance > 0.0 and final_delta < config.tolerance
     return KnowledgeMap(
-        entries=dict(zip(graph.node_ids, current)),
+        node_ids=graph.node_ids,
+        states=current,
         rounds_used=rounds_used,
         converged=converged,
         final_delta=final_delta,
@@ -84,15 +86,12 @@ def run_sharing(
 
 
 def knowledge_map_to_dict(knowledge_map: KnowledgeMap) -> dict:
-    """JSON-ready form with node entries in sorted order."""
+    """JSON-ready form with one entry per node id."""
     return {
         "round": knowledge_map.rounds_used,
         "converged": knowledge_map.converged,
         "final_delta": knowledge_map.final_delta,
-        "entries": {
-            node_id: [float(x) for x in knowledge_map.entries[node_id]]
-            for node_id in sorted(knowledge_map.entries)
-        },
+        "entries": dict(zip(knowledge_map.node_ids, knowledge_map.states.tolist())),
     }
 
 
@@ -105,4 +104,6 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
 
 def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap) -> None:
     """Write the settled embeddings as write_embedding_csv does, round = rounds_used."""
-    write_embedding_csv(path, [knowledge_map.entries], first_round=knowledge_map.rounds_used)
+    write_embedding_csv(
+        path, knowledge_map.node_ids, [knowledge_map.states], first_round=knowledge_map.rounds_used
+    )

@@ -13,7 +13,7 @@ import pytest
 
 from knowmap.cli import main
 from knowmap.drift import DriftConfig, run_drift
-from knowmap.embedding import EmbeddingConfig, embed_graph, init_layers
+from knowmap.embedding import EmbeddingConfig, embedding_rounds, init_layers
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from knowmap.pca import fit_pca, transform
 
@@ -28,9 +28,7 @@ def announce(capsys, line):
 
 
 def baseline_spread(result):
-    rows = np.stack(
-        [result.baseline_map.entries[v] for v in sorted(result.baseline_map.entries)]
-    )
+    rows = result.baseline_map.states
     centroid = rows.mean(axis=0)
     return float(np.mean(np.linalg.norm(rows - centroid, axis=1)))
 
@@ -163,7 +161,7 @@ def oracle_embed(neighbors, vectors, layers, rounds):
 
 
 def test_ac4_embedding_oracle_equivalence(capsys):
-    """embed_graph agrees with a from-scratch loop on every small graph."""
+    """embedding_rounds agrees with an explicit-loop oracle on every small graph."""
     graphs = all_graphs_up_to_four_nodes()
     assert len(graphs) == 75  # 1 + 2 + 8 + 64 labeled graphs on 1..4 nodes
     rng = np.random.default_rng(2024)
@@ -173,15 +171,16 @@ def test_ac4_embedding_oracle_equivalence(capsys):
         rounds = 1 + trial % 2
         config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=trial)
         vectors = {v: rng.uniform(0.1, 1.0, 3) for v in neighbors}
-        got = embed_graph(graph, vectors, config)
+        features = np.array([vectors[v] for v in graph.node_ids])
+        got = embedding_rounds(graph, features, config)[-1]
         input_layer, hidden_layer = init_layers(config)
         layers = (
             (input_layer.self_weights.tolist(), input_layer.neighbor_weights.tolist()),
             (hidden_layer.self_weights.tolist(), hidden_layer.neighbor_weights.tolist()),
         )
         expected = oracle_embed(neighbors, vectors, layers, rounds)
-        for v in neighbors:
-            err = float(np.max(np.abs(got[v] - np.array(expected[v]))))
+        for row, v in enumerate(graph.node_ids):
+            err = float(np.max(np.abs(got[row] - np.array(expected[v]))))
             worst = max(worst, err)
             assert err < 1e-12, f"trial {trial} node {v}: error {err:.2e}"
     announce(
@@ -195,15 +194,15 @@ def test_ac5_receptive_field(capsys):
     """After L rounds, only nodes within L hops can move a node's embedding."""
     graph = build_topology(TopologyKind.LINE, 10)
     rng = np.random.default_rng(5)
-    base = {v: rng.uniform(0.1, 1.0, 3) for v in graph.node_ids}
-    target = node_name(0)
+    base = np.array([rng.uniform(0.1, 1.0, 3) for _ in graph.node_ids])
+    target = graph.node_ids.index(node_name(0))
     for rounds in (1, 2, 3):
         config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=8)
-        reference = embed_graph(graph, base, config)[target]
+        reference = embedding_rounds(graph, base, config)[-1][target]
         for distance in range(1, 10):
-            perturbed = dict(base)
-            perturbed[node_name(distance)] = base[node_name(distance)] + 0.5
-            moved = embed_graph(graph, perturbed, config)[target]
+            perturbed = base.copy()
+            perturbed[graph.node_ids.index(node_name(distance))] += 0.5
+            moved = embedding_rounds(graph, perturbed, config)[-1][target]
             if distance <= rounds:
                 assert not np.array_equal(moved, reference), (
                     f"L={rounds}: perturbation at distance {distance} had no effect"

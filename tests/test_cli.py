@@ -1,5 +1,6 @@
 """CLI behavior: defaults, artifacts, exit codes, and determinism."""
 
+import csv
 import json
 from xml.etree import ElementTree
 
@@ -16,6 +17,7 @@ from knowmap.drift import (
 )
 from knowmap.embedding import DEFAULT_DIMENSION, DEFAULT_ROUNDS
 from knowmap.features import DEFAULT_MAGNITUDE
+from knowmap.graph import TopologyKind, build_topology
 from knowmap.sharing import DEFAULT_TOLERANCE
 
 DRIFT_FILES = (METRICS_FILE, PROJECTION_FILE, KNOWLEDGE_MAP_FILE, PLOT_FILE)
@@ -194,6 +196,19 @@ def test_embed_writes_per_round_rows(tmp_path):
     assert len(lines) == 1 + 4 * 3
 
 
+def test_embed_rows_follow_the_graph_node_order(tmp_path):
+    # ids sort as strings, so node-10 and node-11 come before node-2
+    path = tmp_path / "emb.csv"
+    assert main(["embed", "--topology", "ring", "--nodes", "12", "--out", str(path)]) == EXIT_OK
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    node_ids = build_topology(TopologyKind.RING, 12).node_ids
+    assert node_ids[:5] == ["node-0", "node-1", "node-10", "node-11", "node-2"]
+    for round_index in range(1, DEFAULT_ROUNDS + 1):
+        assert [row[0] for row in rows if row[1] == str(round_index)] == node_ids
+    assert len(rows) == 12 * DEFAULT_ROUNDS
+
+
 def test_embed_rejects_bad_workload(tmp_path):
     path = tmp_path / "emb.csv"
     assert main(["embed", "--workload", "33", "--out", str(path)]) == EXIT_CONFIG
@@ -227,3 +242,6 @@ def test_plot_malformed_csv_is_a_config_error(tmp_path):
     assert main(["plot", "--projection", str(bad)]) == EXIT_CONFIG
     bad.write_text("label,workload_pct,x,y\n")
     assert main(["plot", "--projection", str(bad)]) == EXIT_CONFIG
+    for row in ("row,50,nan,0.0", "row,50,0.0,inf"):
+        bad.write_text(f"label,workload_pct,x,y\nok,50,1.0,2.0\n{row}\n")
+        assert main(["plot", "--projection", str(bad)]) == EXIT_CONFIG

@@ -147,8 +147,7 @@ def test_run_is_deterministic():
     b = run_drift(quick_config())
     assert a.centroid_distances == b.centroid_distances
     assert a.projection.tobytes() == b.projection.tobytes()
-    for v in a.baseline_map.entries:
-        assert np.array_equal(a.baseline_map.entries[v], b.baseline_map.entries[v])
+    assert np.array_equal(a.baseline_map.states, b.baseline_map.states)
 
 
 def test_seed_changes_the_run():
@@ -264,15 +263,16 @@ def test_centroid_distance_matches_explicit_loop():
     # arithmetic oracle: recompute every step distance with plain Python loops
     result = run_drift(DriftConfig(nodes=5))
     for step, kmap in enumerate(result.step_maps):
-        peers = [v for v in sorted(kmap.entries) if v != result.target]
-        dim = kmap.entries[result.target].shape[0]
+        target = kmap.node_ids.index(result.target)
+        peers = [row for row in range(len(kmap.node_ids)) if row != target]
+        dim = kmap.states.shape[1]
         centroid = [
-            sum(float(kmap.entries[v][i]) for v in peers) / len(peers)
+            sum(float(kmap.states[row][i]) for row in peers) / len(peers)
             for i in range(dim)
         ]
         gap = math.sqrt(
             sum(
-                (float(kmap.entries[result.target][i]) - centroid[i]) ** 2
+                (float(kmap.states[target][i]) - centroid[i]) ** 2
                 for i in range(dim)
             )
         )
@@ -287,10 +287,9 @@ def test_population_is_most_cohesive_at_the_baseline_step():
         sweep = result.config.sweep
 
         def max_pairwise(kmap):
-            ids = sorted(kmap.entries)
             return max(
-                float(np.linalg.norm(kmap.entries[a] - kmap.entries[b]))
-                for a, b in itertools.combinations(ids, 2)
+                float(np.linalg.norm(a - b))
+                for a, b in itertools.combinations(kmap.states, 2)
             )
 
         spread = {w: max_pairwise(result.step_maps[i]) for i, w in enumerate(sweep)}
@@ -319,11 +318,12 @@ def test_target_is_the_outlier_at_the_extreme_step():
     for kind in TopologyKind:
         result = run_drift(DriftConfig(topology=kind, nodes=10))
         kmap = result.step_maps[result.config.sweep.index(100)]
-        ids = sorted(kmap.entries)
+        ids = kmap.node_ids
 
         def gap_to_rest(v):
-            rest = [kmap.entries[u] for u in ids if u != v]
-            return float(np.linalg.norm(kmap.entries[v] - np.mean(rest, axis=0)))
+            row = ids.index(v)
+            rest = np.delete(kmap.states, row, axis=0)
+            return float(np.linalg.norm(kmap.states[row] - np.mean(rest, axis=0)))
 
         ranked = sorted(ids, key=gap_to_rest, reverse=True)
         assert ranked[0] == result.target, kind.value

@@ -12,7 +12,6 @@ from knowmap.embedding import (
     EmbeddingConfig,
     Layer,
     aggregate,
-    embed_graph,
     embedding_round,
     embedding_rounds,
     init_layer,
@@ -23,7 +22,6 @@ from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidSeedError,
-    NodeSetMismatchError,
     ZeroVectorError,
 )
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
@@ -94,28 +92,26 @@ def test_embedding_config_validation():
 
 
 def test_aggregate_is_the_mean():
-    out = aggregate([np.array([1.0, 3.0]), np.array([3.0, 5.0])])
+    out = aggregate(np.array([[1.0, 3.0], [3.0, 5.0]]))
     assert np.array_equal(out, [2.0, 4.0])
-    assert np.array_equal(aggregate([np.array([0.0, 2.0]), np.array([2.0, 0.0])]), [1.0, 1.0])
+    assert np.array_equal(aggregate(np.array([[0.0, 2.0], [2.0, 0.0]])), [1.0, 1.0])
 
 
 def test_aggregate_singleton_is_identity():
     x = np.array([0.25, -1.5, 3.0])
-    assert np.array_equal(aggregate([x]), x)
+    assert np.array_equal(aggregate(x[None, :]), x)
 
 
-def test_aggregate_rejects_empty_and_mixed():
+def test_aggregate_rejects_empty():
     with pytest.raises(EmptyInputError):
-        aggregate([])
-    with pytest.raises(DimensionMismatchError):
-        aggregate([np.zeros(2), np.zeros(3)])
+        aggregate(np.zeros((0, 2)))
 
 
 @given(st.lists(vectors3, min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_aggregate_is_permutation_invariant(vecs, rnd):
     shuffled = list(vecs)
     rnd.shuffle(shuffled)
-    assert np.allclose(aggregate(vecs), aggregate(shuffled), atol=1e-12)
+    assert np.allclose(aggregate(np.array(vecs)), aggregate(np.array(shuffled)), atol=1e-12)
 
 
 def isolated(node_id="solo"):
@@ -200,63 +196,52 @@ def test_layer_forward_checks_input_dim():
 
 
 def ring_states(n=4, dim=3, seed=0):
+    """A ring and one random input row per node, in graph.node_ids order."""
     graph = build_topology(TopologyKind.RING, n)
     rng = np.random.default_rng(seed)
-    return graph, {v: rng.uniform(0.1, 1.0, dim) for v in graph.node_ids}
+    return graph, np.array([rng.uniform(0.1, 1.0, dim) for _ in graph.node_ids])
 
 
 def test_embedding_round_is_synchronous():
     # every node reads the pre-round states: one round over a matrix equals
-    # the per-node formula applied to the unchanged input, whatever the
-    # order the input dict was built in
+    # the per-node formula applied to the unchanged input
     graph, states = ring_states()
     config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=2)
-    forward = embed_graph(graph, states, config)
-    again = embed_graph(graph, dict(reversed(list(states.items()))), config)
+    (forward,) = embedding_rounds(graph, states, config)
     input_layer, _ = init_layers(config)
-    for v in graph.node_ids:
-        assert forward[v].tobytes() == again[v].tobytes()
+    row = {v: states[i] for i, v in enumerate(graph.node_ids)}
+    for i, v in enumerate(graph.node_ids):
         k = int(v.split("-")[1])  # ring-4 neighbours k-1 and k+1, wrapping
-        neighbors = np.mean([states[node_name((k + s) % 4)] for s in (-1, 1)], axis=0)
-        mixed = input_layer.self_weights @ states[v] + input_layer.neighbor_weights @ neighbors
+        neighbors = np.mean([row[node_name((k + s) % 4)] for s in (-1, 1)], axis=0)
+        mixed = input_layer.self_weights @ row[v] + input_layer.neighbor_weights @ neighbors
         expected = Activation.SIGMOID.apply(mixed)
-        assert np.allclose(forward[v], expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
+        assert np.allclose(forward[i], expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
 
 
 def test_embedding_round_requires_matching_nodes():
     graph, states = ring_states()
-    del states["node-0"]
-    with pytest.raises(NodeSetMismatchError):
-        embedding_rounds(graph, states, EmbeddingConfig(dimension=3))
+    with pytest.raises(DimensionMismatchError):
+        embedding_rounds(graph, states[1:], EmbeddingConfig(dimension=3))
 
 
 def test_embed_graph_output_is_unit_norm():
     graph, states = ring_states(n=5)
     config = EmbeddingConfig(dimension=4, rounds=3, weight_seed=1)
-    result = embed_graph(graph, states, config)
-    assert set(result) == set(graph.node_ids)
-    for v in result:
-        assert abs(np.linalg.norm(result[v]) - 1.0) < 1e-12
-
-
-def test_embed_graph_matches_last_round():
-    graph, states = ring_states(n=5)
-    config = EmbeddingConfig(dimension=4, rounds=3, weight_seed=1)
     snapshots = embedding_rounds(graph, states, config)
     assert len(snapshots) == 3
-    final = embed_graph(graph, states, config)
-    for v in final:
-        assert np.array_equal(final[v], snapshots[-1][v])
+    assert snapshots[-1].shape == (5, 4)
+    for row in snapshots[-1]:
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-12
 
 
 def test_identical_features_embed_identically_on_a_regular_graph():
     # full graph symmetry: every node sees the same self and neighborhood
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 5)
-    vectors = {v: np.array([0.5, 0.5, 1.0]) for v in graph.node_ids}
-    result = embed_graph(graph, vectors, EmbeddingConfig(dimension=4, weight_seed=2))
-    reference = result["node-0"]
-    for v in graph.node_ids:
-        assert reference.tobytes() == result[v].tobytes()
+    features = np.tile([0.5, 0.5, 1.0], (5, 1))
+    result = embedding_rounds(graph, features, EmbeddingConfig(dimension=4, weight_seed=2))[-1]
+    reference = result[0]
+    for row in result:
+        assert reference.tobytes() == row.tobytes()
 
 
 @given(
@@ -304,20 +289,18 @@ def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row, activati
 def test_single_isolated_node_is_its_own_context():
     graph = KnowledgeGraph.from_links(["solo"], [])
     config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=4)
-    result = embed_graph(graph, {"solo": np.array([0.2, 0.8, 1.0])}, config)
+    (result,) = embedding_rounds(graph, np.array([[0.2, 0.8, 1.0]]), config)
     input_layer, _ = init_layers(config)
     direct = Activation.SIGMOID.apply(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))
-    assert np.allclose(result["solo"], direct / np.linalg.norm(direct), rtol=0, atol=1e-15)
+    assert np.allclose(result[0], direct / np.linalg.norm(direct), rtol=0, atol=1e-15)
 
 
 def test_embed_graph_rejects_bad_inputs():
     graph, states = ring_states()
     config = EmbeddingConfig(dimension=4)
-    with pytest.raises(EmptyInputError):
-        embedding_rounds(graph, {}, config)
-    states["node-0"] = np.zeros(5)
-    with pytest.raises(DimensionMismatchError):
-        embedding_rounds(graph, states, config)
+    for bad in (np.zeros((0, 3)), np.zeros((4, 0)), states[0], states[None]):
+        with pytest.raises(DimensionMismatchError):
+            embedding_rounds(graph, bad, config)
 
 
 def test_embedding_csv_round_trip(tmp_path):
@@ -325,7 +308,7 @@ def test_embedding_csv_round_trip(tmp_path):
     config = EmbeddingConfig(dimension=2, rounds=2, weight_seed=4)
     snapshots = embedding_rounds(graph, states, config)
     path = tmp_path / "emb.csv"
-    write_embedding_csv(path, snapshots)
+    write_embedding_csv(path, graph.node_ids, snapshots)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["node_id", "round", "e0", "e1"]
@@ -333,22 +316,22 @@ def test_embedding_csv_round_trip(tmp_path):
     for row in rows[1:]:
         snapshot = snapshots[int(row[1]) - 1]
         # .17g formatting must reproduce the doubles exactly
-        assert [float(x) for x in row[2:]] == list(snapshot[row[0]])
+        assert [float(x) for x in row[2:]] == list(snapshot[graph.node_ids.index(row[0])])
 
 
 def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
     ids = ["plain", "a,b", 'say "hi"', "two\nlines", ""]
-    snapshot = {v: np.array([0.1, -0.0, 1e-300]) for v in ids}
+    snapshot = np.tile([0.1, -0.0, 1e-300], (len(ids), 1))
     path = tmp_path / "emb.csv"
-    write_embedding_csv(path, [snapshot], first_round=3)
+    write_embedding_csv(path, ids, [snapshot], first_round=3)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["node_id", "round", "e0", "e1", "e2"])
-    for v in sorted(ids):
-        writer.writerow([v, 3] + [format(x, ".17g") for x in snapshot[v]])
+    for v, values in zip(ids, snapshot):
+        writer.writerow([v, 3] + [format(x, ".17g") for x in values])
     assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_embedding_csv_rejects_empty(tmp_path):
     with pytest.raises(EmptyInputError):
-        write_embedding_csv(tmp_path / "x.csv", [])
+        write_embedding_csv(tmp_path / "x.csv", [], [])

@@ -66,8 +66,8 @@ def test_zero_max_rounds_returns_input():
     result = run_sharing(graph, states, layer, config=SharingConfig(0, 0.0))
     assert result.rounds_used == 0
     assert result.final_delta == 0.0
-    for i, v in enumerate(graph.node_ids):
-        assert np.array_equal(result.entries[v], states[i])
+    assert result.node_ids is graph.node_ids
+    assert np.array_equal(result.states, states)
 
 
 def test_sharing_converges_on_uniform_ring():
@@ -78,16 +78,14 @@ def test_sharing_converges_on_uniform_ring():
     assert result.converged
     assert result.rounds_used < SharingConfig().max_rounds
     assert result.final_delta < SharingConfig().tolerance
-    for v in result.entries:
-        assert abs(np.linalg.norm(result.entries[v]) - 1.0) < 1e-12
+    assert np.all(np.abs(np.linalg.norm(result.states, axis=1) - 1.0) < 1e-12)
 
 
 def test_one_round_equals_direct_layer_application():
     graph, states, layer = ring_setup()
     result = run_sharing(graph, states, layer, config=SharingConfig(1, 0.0))
     direct = embedding_round(graph, states, layer, Activation.SIGMOID)
-    for i, v in enumerate(graph.node_ids):
-        assert np.array_equal(result.entries[v], direct[i])
+    assert np.array_equal(result.states, direct)
 
 
 def test_sharing_is_deterministic():
@@ -96,8 +94,7 @@ def test_sharing_is_deterministic():
     b = run_sharing(graph, states, layer)
     assert a.rounds_used == b.rounds_used
     assert a.final_delta == b.final_delta
-    for v in graph.node_ids:
-        assert a.entries[v].tobytes() == b.entries[v].tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_uniform_features_collapse_is_avoided_by_normalization():
@@ -108,15 +105,16 @@ def test_uniform_features_collapse_is_avoided_by_normalization():
     input_layer, hidden_layer = init_layers(config)
     states = embedding_round(graph, vectors, input_layer, Activation.SIGMOID)
     result = run_sharing(graph, states, hidden_layer)
-    reference = result.entries["node-0"]
+    reference = result.states[graph.node_ids.index("node-0")]
     assert np.linalg.norm(reference) > 0.0
-    for v in graph.node_ids:
-        assert np.allclose(result.entries[v], reference)
+    for row in result.states:
+        assert np.allclose(row, reference)
 
 
 def test_knowledge_map_dict_shape():
     kmap = KnowledgeMap(
-        entries={"b": np.array([1.0, 0.0]), "a": np.array([0.0, 1.0])},
+        node_ids=["a", "b"],
+        states=np.array([[0.0, 1.0], [1.0, 0.0]]),
         rounds_used=3,
         converged=True,
         final_delta=1e-8,
@@ -138,7 +136,8 @@ def test_knowledge_map_json_is_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     parsed = json.loads(a.read_text())
     assert set(parsed) == {"round", "converged", "final_delta", "entries"}
-    assert parsed["entries"]["node-0"] == [float(x) for x in result.entries["node-0"]]
+    row = graph.node_ids.index("node-0")
+    assert parsed["entries"]["node-0"] == [float(x) for x in result.states[row]]
 
 
 def test_information_spreads_one_hop_per_round():
@@ -173,11 +172,13 @@ def test_zero_row_error_names_the_sharing_round():
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):
-    entries = {
-        "node-1": np.array([0.25, 0.5]),
-        "node-0": np.array([1.0 / 3.0, 2.0 / 3.0]),
-    }
-    kmap = KnowledgeMap(entries=entries, rounds_used=4, converged=True, final_delta=0.0)
+    kmap = KnowledgeMap(
+        node_ids=["node-0", "node-1"],
+        states=np.array([[1.0 / 3.0, 2.0 / 3.0], [0.25, 0.5]]),
+        rounds_used=4,
+        converged=True,
+        final_delta=0.0,
+    )
     path = tmp_path / "map.csv"
     write_knowledge_map_csv(path, kmap)
     lines = path.read_text().splitlines()
@@ -190,6 +191,8 @@ def test_write_knowledge_map_csv_layout(tmp_path):
 
 
 def test_write_knowledge_map_csv_rejects_empty(tmp_path):
-    kmap = KnowledgeMap(entries={}, rounds_used=0, converged=False, final_delta=0.0)
+    kmap = KnowledgeMap(
+        node_ids=[], states=np.zeros((0, 2)), rounds_used=0, converged=False, final_delta=0.0
+    )
     with pytest.raises(EmptyInputError):
         write_knowledge_map_csv(tmp_path / "map.csv", kmap)
