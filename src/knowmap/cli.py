@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +113,8 @@ def _run_topology(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text)
     else:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as handle:
+            print(text, file=handle)  # text, then "\n": no second copy of the text
         print(f"wrote {args.out}")
     return EXIT_OK
 

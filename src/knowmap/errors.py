@@ -22,7 +22,7 @@ class UnknownNodeError(KnowmapError):
 
 
 class InvalidSizeError(KnowmapError):
-    """A topology builder was asked for too few nodes."""
+    """A topology builder was asked for too few nodes, or for more than MAX_EDGES edges."""
 
 
 class MagnitudeOutOfRangeError(KnowmapError):

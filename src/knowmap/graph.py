@@ -25,6 +25,7 @@ from .errors import (
 
 CONNECTED_TO = "CONNECTED_TO"
 COMPUTATIONAL_NODE = "ComputationalNode"
+MAX_EDGES = 10**7  # most directed edges build_topology accepts: full n <= 3162
 
 
 class TopologyKind(Enum):
@@ -86,25 +87,24 @@ class KnowledgeGraph:
         """Directed count: every undirected link counts once in each direction."""
         return int(self.degree.sum())
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible snapshot: ComputationalNode nodes without properties,
-        each link as two CONNECTED_TO triples, sorted by source, then target."""
-        ids = self.node_ids
-        return {
-            "nodes": [
-                {"id": node_id, "labels": [COMPUTATIONAL_NODE], "properties": {}}
-                for node_id in ids
-            ],
-            "edges": [
-                {"s": source, "r": CONNECTED_TO, "t": ids[target]}
-                for source, row, degree in zip(ids, self.index.tolist(), self.degree.tolist())
-                for target in row[:degree]
-            ],
-        }
-
     def canonical_json(self) -> str:
-        """Canonical snapshot serialization (sorted keys, stable order)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """json.dumps(indent=2, sort_keys=True) of ComputationalNode nodes and each link as two
+        CONNECTED_TO triples sorted by source, then target; one join per source node."""
+        names = [json.dumps(node_id) for node_id in self.node_ids]
+        edges = []
+        for source, row, degree in zip(names, self.index.tolist(), self.degree.tolist()):
+            if degree:
+                head = f'    {{\n      "r": "{CONNECTED_TO}",\n      "s": {source},\n      "t": '
+                targets = [names[target] for target in row[:degree]]
+                edges.append(head + ("\n    },\n" + head).join(targets) + "\n    }")
+        node = f'    {{\n      "id": %s,\n      "labels": [\n        "{COMPUTATIONAL_NODE}"\n'
+        node += '      ],\n      "properties": {}\n    }'
+        nodes = [node % name for name in names]
+        return '{\n  "edges": %s,\n  "nodes": %s\n}' % (_json_list(edges), _json_list(nodes))
+
+
+def _json_list(items: list[str]) -> str:  # items already indented one level deep
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def node_name(index: int) -> str:
@@ -115,10 +115,15 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     """Build one of the three experimental networks on "node-0" .. "node-(n-1)".
 
     Ring links i to i+1 mod n, line links i to i+1, and full links every pair.
+    A network with more than MAX_EDGES directed edges is rejected.
     """
     minimum = 3 if kind is TopologyKind.RING else 2
     if n < minimum:
         raise InvalidSizeError(f"{kind.value} topology needs at least {minimum} nodes, got {n}")
+    size = int(n)  # a Python int, so the count cannot wrap around
+    m = {TopologyKind.RING: size, TopologyKind.LINE: size - 1}.get(kind, size * (size - 1) // 2)
+    if 2 * m > MAX_EDGES:
+        raise InvalidSizeError(f"{kind.value} topology on {n} nodes exceeds {MAX_EDGES} edges")
 
     i = np.arange(n)
     if kind is TopologyKind.RING:

@@ -85,21 +85,19 @@ def run_sharing(
     )
 
 
-def knowledge_map_to_dict(knowledge_map: KnowledgeMap) -> dict:
-    """JSON-ready form with one entry per node id."""
-    return {
-        "round": knowledge_map.rounds_used,
-        "converged": knowledge_map.converged,
-        "final_delta": knowledge_map.final_delta,
-        "entries": dict(zip(knowledge_map.node_ids, knowledge_map.states.tolist())),
-    }
-
-
 def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> None:
-    """Serialize the map deterministically: sorted keys, repr-exact floats."""
+    """Write json.dump(indent=2, sort_keys=True) text from one row template; floats as repr."""
+    states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
+    if not (np.isfinite(states).all() and math.isfinite(final_delta)):  # repr would write nan
+        raise NonFiniteValueError("knowledge map states and final delta must be finite")
+    ids, rows = knowledge_map.node_ids, states.tolist()
+    row = "    %s: [\n      " + ",\n      ".join(["%r"] * states.shape[1]) + "\n    ]"
     with open(path, "w") as handle:
-        json.dump(knowledge_map_to_dict(knowledge_map), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write('{\n  "converged": %s,\n  "entries": ' % json.dumps(knowledge_map.converged))
+        for k, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+            handle.write((",\n" if k else "{\n") + row % (json.dumps(ids[i]), *rows[i]))
+        handle.write(("\n  }" if ids else "{}") + ',\n  "final_delta": %r,\n' % final_delta)
+        handle.write('  "round": %d\n}\n' % knowledge_map.rounds_used)
 
 
 def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap) -> None:

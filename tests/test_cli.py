@@ -175,14 +175,30 @@ def test_topology_prints_canonical_json(capsys):
 def test_topology_writes_file(tmp_path, capsys):
     path = tmp_path / "ring.json"
     assert main(["topology", "--kind", "full", "--nodes", "4", "--out", str(path)]) == EXIT_OK
-    data = json.loads(path.read_text())
-    assert len(data["edges"]) == 12
+    text = path.read_text()
+    assert text == build_topology(TopologyKind.FULLY_CONNECTED, 4).canonical_json() + "\n"
+    assert len(json.loads(text)["edges"]) == 12
     assert "wrote" in capsys.readouterr().out
 
 
 def test_topology_rejects_invalid_size(capsys):
     assert main(["topology", "--kind", "ring", "--nodes", "1"]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["topology", "--kind", "full", "--nodes", "3163"],
+        ["embed", "--topology", "ring", "--nodes", "5000001"],
+        ["drift", "--topology", "line", "--nodes", "5000002"],
+    ],
+)
+def test_more_than_max_edges_is_a_config_error(argv, tmp_path, capsys):
+    # each size is one past the largest MAX_EDGES admits, so nothing is built
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "edges" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_embed_writes_per_round_rows(tmp_path):

@@ -30,6 +30,21 @@ def neighbors(graph, node_id):
     return [graph.node_ids[j] for j in graph.index[i, : graph.degree[i]]]
 
 
+def snapshot(graph):
+    """The dict canonical_json serializes: the reference its text is checked against."""
+    ids = graph.node_ids
+    return {
+        "nodes": [
+            {"id": node_id, "labels": [COMPUTATIONAL_NODE], "properties": {}} for node_id in ids
+        ],
+        "edges": [
+            {"s": source, "r": CONNECTED_TO, "t": ids[target]}
+            for source, row, degree in zip(ids, graph.index.tolist(), graph.degree.tolist())
+            for target in row[:degree]
+        ],
+    }
+
+
 def small_graph():
     # c-a and b-a, given out of name order and in both orientations
     return KnowledgeGraph.from_links(["c", "a", "b"], [[0, 1], [1, 2]])
@@ -67,7 +82,7 @@ def test_add_link_is_bidirectional():
 def test_node_ids_and_edges_are_sorted():
     kg = small_graph()
     assert kg.node_ids == ["a", "b", "c"]
-    edges = [(e["s"], e["r"], e["t"]) for e in kg.to_dict()["edges"]]
+    edges = [(e["s"], e["r"], e["t"]) for e in json.loads(kg.canonical_json())["edges"]]
     assert edges == [
         ("a", CONNECTED_TO, "b"),
         ("a", CONNECTED_TO, "c"),
@@ -80,7 +95,7 @@ def test_node_ids_and_edges_are_sorted():
 def test_canonical_json_round_trips_and_is_stable():
     kg = small_graph()
     text = kg.canonical_json()
-    assert json.loads(text) == kg.to_dict()
+    assert json.loads(text) == snapshot(kg)
     assert text == kg.canonical_json()
 
 
@@ -119,7 +134,7 @@ def test_topology_degrees():
 
 
 def test_topology_nodes_are_labeled():
-    nodes = build_topology(TopologyKind.RING, 3).to_dict()["nodes"]
+    nodes = json.loads(build_topology(TopologyKind.RING, 3).canonical_json())["nodes"]
     assert [node["labels"] for node in nodes] == [[COMPUTATIONAL_NODE]] * 3
     assert [node["properties"] for node in nodes] == [{}] * 3
 
@@ -143,6 +158,11 @@ def test_line_does_not_wrap():
         (TopologyKind.LINE, 1),
         (TopologyKind.FULLY_CONNECTED, 1),
         (TopologyKind.FULLY_CONNECTED, -3),
+        # more than MAX_EDGES = 10**7 directed edges, rejected before any allocation
+        (TopologyKind.FULLY_CONNECTED, 3163),
+        (TopologyKind.RING, 5_000_001),
+        (TopologyKind.LINE, 5_000_002),
+        (TopologyKind.FULLY_CONNECTED, 10**30),
     ],
 )
 def test_topology_size_limits(kind, n):
@@ -171,6 +191,15 @@ def test_topology_json_is_pinned(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_12_SHA256[kind]
 
 
+def test_full_400_topology_file_is_pinned():
+    # the 13,524,147-byte `knowmap topology --kind full --nodes 400 --out FILE`
+    text = build_topology(TopologyKind.FULLY_CONNECTED, 400).canonical_json() + "\n"
+    assert len(text) == 13_524_147
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "39a96c48b750df72f5b1aed32974ea2156978aaa878bc12a12b52b14b7bf08e2"
+    )
+
+
 def test_neighbor_table_pads_rows_in_node_id_order():
     # ids sort as node-0, node-1, node-10, node-11, node-2, ...: positions
     # follow that order, rows ascend, and short rows are padded with n
@@ -189,7 +218,7 @@ def test_neighbor_table_of_isolated_nodes_has_no_columns():
     kg = KnowledgeGraph.from_links(["a", "b"], np.zeros((0, 2), dtype=int))
     assert kg.index.shape == (2, 0)
     assert list(kg.degree) == [0, 0]
-    assert kg.to_dict()["edges"] == []
+    assert json.loads(kg.canonical_json())["edges"] == []
 
 
 @st.composite
@@ -228,3 +257,18 @@ def test_from_links_ignores_name_order_link_order_and_orientation(case, rnd):
             if node_id in (names[a], names[b])
         )
         assert neighbors(reference, node_id) == expected
+
+
+# ids json must escape: quotes, backslashes, control characters, non-ASCII
+AWKWARD_IDS = st.sampled_from(['"', "\\", 'a"b\\c', "\n", "\x00\x1f\x7f", "é", "\u2028", "😀"])
+
+
+@given(
+    st.lists(st.text(min_size=1) | AWKWARD_IDS, min_size=1, max_size=8, unique=True),
+    st.data(),
+)
+def test_canonical_json_is_json_dumps_of_the_snapshot(names, data):
+    pairs = [(a, b) for a in range(len(names)) for b in range(a + 1, len(names))]
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    kg = KnowledgeGraph.from_links(names, np.array(links, dtype=int).reshape(-1, 2))
+    assert kg.canonical_json() == json.dumps(snapshot(kg), indent=2, sort_keys=True)

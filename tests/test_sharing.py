@@ -18,7 +18,6 @@ from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import (
     KnowledgeMap,
     SharingConfig,
-    knowledge_map_to_dict,
     run_sharing,
     states_delta,
     write_knowledge_map_csv,
@@ -111,20 +110,43 @@ def test_uniform_features_collapse_is_avoided_by_normalization():
         assert np.allclose(row, reference)
 
 
-def test_knowledge_map_dict_shape():
+def test_knowledge_map_dict_shape(tmp_path):
+    # ids out of order and needing escapes; entries come out sorted by id
+    ids = ["b", "a", 'q"\\\n', "é"]
+    states = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, -2.5e-300], [1e16, -0.0]])
     kmap = KnowledgeMap(
-        node_ids=["a", "b"],
-        states=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        rounds_used=3,
-        converged=True,
-        final_delta=1e-8,
+        node_ids=ids, states=states, rounds_used=3, converged=True, final_delta=1e-8
     )
-    data = knowledge_map_to_dict(kmap)
+    path = tmp_path / "map.json"
+    write_knowledge_map_json(path, kmap)
+    text = path.read_text()
+    data = json.loads(text)
     assert data["round"] == 3
     assert data["converged"] is True
     assert data["final_delta"] == 1e-8
-    assert list(data["entries"]) == ["a", "b"]
+    assert list(data["entries"]) == sorted(ids)
     assert data["entries"]["b"] == [1.0, 0.0]
+    # byte for byte what json.dump writes of the same dict
+    reference = {
+        "round": 3,
+        "converged": True,
+        "final_delta": 1e-8,
+        "entries": dict(zip(ids, states.tolist())),
+    }
+    assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+
+def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
+    graph, states, layer = ring_setup()
+    result = run_sharing(graph, states, layer)
+    bad_states = result.states.copy()
+    bad_states[0, 0] = np.nan
+    for bad in (
+        KnowledgeMap(result.node_ids, bad_states, 1, False, 0.5),
+        KnowledgeMap(result.node_ids, result.states, 1, False, np.inf),
+    ):
+        with pytest.raises(NonFiniteValueError):
+            write_knowledge_map_json(tmp_path / "map.json", bad)
 
 
 def test_knowledge_map_json_is_reproducible(tmp_path):
