@@ -9,7 +9,6 @@ from .drift import (
     trajectory_metrics,
 )
 from .embedding import (
-    Activation,
     EmbeddingConfig,
     Layer,
     aggregate,
@@ -33,7 +32,6 @@ from .sharing import KnowledgeMap, SharingConfig, run_sharing
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation",
     "DriftConfig",
     "DriftResult",
     "EmbeddingConfig",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,6 @@ import numpy as np
 from .embedding import (
     DEFAULT_DIMENSION,
     DEFAULT_ROUNDS,
-    Activation,
     EmbeddingConfig,
     aggregate,
     csv_field,
@@ -32,13 +30,11 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     MagnitudeOutOfRangeError,
-    NonFiniteValueError,
     TooFewStepsError,
     UnknownNodeError,
 )
 from .features import (
     DEFAULT_MAGNITUDE,
-    DEFAULT_MEM_TOTAL,
     apply_fluctuation,
     check_workload,
     feature_vector,
@@ -80,10 +76,8 @@ class DriftConfig:
     sweep: tuple[int, ...] = DEFAULT_SWEEP
     dimension: int = DEFAULT_DIMENSION
     rounds: int = DEFAULT_ROUNDS
-    activation: Activation = Activation.SIGMOID
     sharing_tolerance: float = DEFAULT_TOLERANCE
     fluctuation: float = DEFAULT_MAGNITUDE
-    mem_total: float = DEFAULT_MEM_TOTAL
 
     def __post_init__(self) -> None:
         check_workload(self.baseline_workload)
@@ -97,10 +91,6 @@ class DriftConfig:
             raise MagnitudeOutOfRangeError(
                 f"fluctuation magnitude must be in [0, 0.1), got {self.fluctuation}"
             )
-        if not math.isfinite(self.mem_total):
-            raise NonFiniteValueError(f"mem_total must be finite, got {self.mem_total}")
-        if self.mem_total <= 0.0:
-            raise ValueError(f"mem_total must be positive, got {self.mem_total}")
         self.embedding_config()  # validates dimension, rounds and the seed
         self.sharing_config()  # validates the tolerance
 
@@ -109,7 +99,6 @@ class DriftConfig:
         return EmbeddingConfig(
             dimension=self.dimension,
             rounds=self.rounds,
-            activation=self.activation,
             weight_seed=self.seed,
         )
 
@@ -183,10 +172,8 @@ def _settle(
 ) -> KnowledgeMap:
     """Full pipeline for one feature assignment: input round, then sharing."""
     input_layer, hidden_layer = init_layers(config.embedding_config())
-    first = embedding_round(graph, features, input_layer, config.activation)
-    shared = run_sharing(
-        graph, first, hidden_layer, config.activation, config.sharing_config()
-    )
+    first = embedding_round(graph, features, input_layer)
+    shared = run_sharing(graph, first, hidden_layer, config.sharing_config())
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
@@ -197,7 +184,7 @@ def run_drift(config: DriftConfig) -> DriftResult:
     if target not in graph.node_ids:
         raise UnknownNodeError(f"target {target!r} is not in the graph")
 
-    base = features_at(config.baseline_workload, config.mem_total)
+    base = features_at(config.baseline_workload)
     target_row = graph.node_ids.index(target)
     keys = node_keys(graph.node_ids)
 
@@ -264,7 +251,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
         "topology": result.config.topology.value,
         "n": result.config.nodes,
         "target": result.target,
-        "sweep": list(result.config.sweep),
+        "sweep": [int(w) for w in result.config.sweep],
         "centroid_distance": [float(d) for d in result.centroid_distances],
         "min_distance_workload": result.metrics.min_distance_workload,
         "left_monotone": result.metrics.left_monotone,

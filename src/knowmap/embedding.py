@@ -1,18 +1,19 @@
 """Neighborhood-aggregating embedding layers over the knowledge graph.
 
 Each round every node mixes its own state with the mean of its neighbors'
-states through two weight matrices, applies a pointwise activation, and is
+states through two weight matrices, applies the logistic sigmoid, and is
 projected back onto the unit sphere.  Repeating the round widens the
 receptive field by one hop.  A round works on an (n x d) state matrix over
 the graph's padded neighbor table, the mean aggregator of GraphSAGE
-(Hamilton et al. 2017) in matrix form.
+(Hamilton et al. 2017) in matrix form.  The network is fixed: the sigmoid is
+its one nonlinearity, so a row comes out all zero only where every mixed
+value is below about -709.8, where exp overflows and the sigmoid is 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -30,21 +31,6 @@ FEATURE_DIMENSION = 3
 # Stream indices for the two layers drawn from one weight seed.
 _INPUT_LAYER_STREAM = 0
 _HIDDEN_LAYER_STREAM = 1
-
-
-class Activation(Enum):
-    """Pointwise nonlinearity applied after the linear mix."""
-
-    RELU = "relu"
-    SIGMOID = "sigmoid"
-    IDENTITY = "identity"
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self is Activation.RELU:
-            return np.maximum(x, 0.0)
-        if self is Activation.SIGMOID:
-            return 1.0 / (1.0 + np.exp(-x))
-        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +62,6 @@ class EmbeddingConfig:
 
     dimension: int = DEFAULT_DIMENSION
     rounds: int = DEFAULT_ROUNDS
-    activation: Activation = Activation.SIGMOID
     weight_seed: int = DEFAULT_WEIGHT_SEED
 
     def __post_init__(self) -> None:
@@ -126,12 +111,11 @@ def embedding_round(
     graph: KnowledgeGraph,
     states: np.ndarray,
     layer: Layer,
-    activation: Activation,
     round_index: int = 1,
 ) -> np.ndarray:
     """One synchronous round over node-indexed states (row i is graph.node_ids[i]).
 
-    Row i becomes normalize(act(W_self x_i + W_nbr mean(neighbors of i))); an
+    Row i becomes normalize(sigmoid(W_self x_i + W_nbr mean(neighbors of i))); an
     isolated node contributes no neighborhood term.  round_index only names
     the round in errors.
     """
@@ -148,7 +132,7 @@ def embedding_round(
         total += padded[column]
     mean = total / np.maximum(graph.degree, 1)[:, None]
     mixed = states @ layer.self_weights.T + mean @ layer.neighbor_weights.T
-    activated = activation.apply(mixed)
+    activated = 1.0 / (1.0 + np.exp(-mixed))
     norms = np.linalg.norm(activated, axis=1)
     if not norms.all():
         node_id = graph.node_ids[int(np.argmin(norms))]
@@ -168,9 +152,9 @@ def embedding_rounds(
             f"input features must be a non-empty (n x k) matrix, got shape {features.shape}"
         )
     input_layer, hidden_layer = init_layers(config, in_dim=features.shape[1])
-    rounds = [embedding_round(graph, features, input_layer, config.activation)]
+    rounds = [embedding_round(graph, features, input_layer)]
     for r in range(2, config.rounds + 1):
-        rounds.append(embedding_round(graph, rounds[-1], hidden_layer, config.activation, r))
+        rounds.append(embedding_round(graph, rounds[-1], hidden_layer, r))
     return rounds
 
 

@@ -10,7 +10,10 @@ import numpy as np
 
 from .errors import InvalidSeedError, MagnitudeOutOfRangeError
 
-DEFAULT_MEM_TOTAL = 8192.0  # MiB, homogeneous across nodes
+# MiB, homogeneous across nodes.  It must stay a power of two: memory enters
+# the features only as mem_available / mem_total, and scaling by a power of
+# two and dividing it back out is exact.
+DEFAULT_MEM_TOTAL = 8192.0
 DEFAULT_MAGNITUDE = 0.02
 WORKLOAD_STEP = 10
 
@@ -38,9 +41,12 @@ class NodeFeatures:
 
 
 def check_workload(value: int) -> int:
-    """Validate a workload percent: a multiple of 10 within [0, 100]."""
-    if value % WORKLOAD_STEP != 0 or not 0 <= value <= 100:
-        raise ValueError(f"workload must be a multiple of 10 in [0, 100], got {value}")
+    """Validate a workload percent: an integer multiple of 10 within [0, 100]."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value % WORKLOAD_STEP != 0 or not 0 <= value <= 100:
+        raise ValueError(
+            f"workload must be an integer multiple of 10 in [0, 100], got {value!r}"
+        )
     return value
 
 
@@ -59,16 +65,13 @@ def set_workload(features: NodeFeatures, workload: int) -> NodeFeatures:
     """
     check_workload(workload)
     fraction = workload / 100.0
-    return NodeFeatures(
-        cpu_usage=fraction,
-        mem_available=features.mem_total * (1.0 - fraction),
-        mem_total=features.mem_total,
-    )
+    total = features.mem_total
+    return NodeFeatures(fraction, total * (1.0 - fraction), total)
 
 
-def features_at(workload: int, mem_total: float = DEFAULT_MEM_TOTAL) -> NodeFeatures:
+def features_at(workload: int) -> NodeFeatures:
     """Fresh metrics for a node pinned at the given workload percent."""
-    return set_workload(NodeFeatures(0.0, mem_total, mem_total), workload)
+    return set_workload(NodeFeatures(0.0, DEFAULT_MEM_TOTAL), workload)
 
 
 def node_keys(node_ids: Sequence[str]) -> np.ndarray:

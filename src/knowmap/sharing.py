@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import Activation, Layer, embedding_round, write_embedding_csv
+from .embedding import Layer, embedding_round, write_embedding_csv
 from .errors import EmptyInputError, NonFiniteValueError
 from .graph import KnowledgeGraph
 
@@ -59,7 +59,6 @@ def run_sharing(
     graph: KnowledgeGraph,
     states: np.ndarray,
     layer: Layer,
-    activation: Activation = Activation.SIGMOID,
     config: SharingConfig = SharingConfig(),
 ) -> KnowledgeMap:
     """Repeat sharing rounds until movement drops below tolerance.
@@ -72,7 +71,7 @@ def run_sharing(
     rounds_used, converged, final_delta = 0, False, 0.0
     while rounds_used < config.max_rounds and not converged:
         rounds_used += 1
-        updated = embedding_round(graph, current, layer, activation, rounds_used)
+        updated = embedding_round(graph, current, layer, rounds_used)
         final_delta = states_delta(current, updated)
         current = updated
         converged = config.tolerance > 0.0 and final_delta < config.tolerance

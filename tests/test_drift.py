@@ -86,8 +86,12 @@ def test_config_validation():
         DriftConfig(sweep=(50, 40))
     with pytest.raises(MagnitudeOutOfRangeError):
         DriftConfig(fluctuation=0.1)
-    with pytest.raises(ValueError):
-        DriftConfig(mem_total=0.0)
+    for bad in ((0.0, 50.0, 100.0), (False, 50, 100), (0, 50.0, 100)):
+        with pytest.raises(ValueError, match="integer multiple of 10"):
+            DriftConfig(nodes=5, sweep=bad)
+    for bad in (True, 50.0):
+        with pytest.raises(ValueError, match="integer multiple of 10"):
+            DriftConfig(baseline_workload=bad)
     with pytest.raises(ValueError):
         DriftConfig(rounds=0)
     with pytest.raises(ValueError):
@@ -101,8 +105,6 @@ def test_config_validation():
     [
         ("sharing_tolerance", math.nan),
         ("sharing_tolerance", math.inf),
-        ("mem_total", math.nan),
-        ("mem_total", math.inf),
     ],
 )
 def test_config_rejects_non_finite_values(field, value):
@@ -353,5 +355,16 @@ def test_export_result_is_reproducible(tmp_path):
     first = export_result(result, tmp_path / "a")
     second = export_result(result, tmp_path / "b")
     for left, right in zip(first, second):
+        assert left.name == right.name
+        assert left.read_bytes() == right.read_bytes(), left.name
+
+
+def test_numpy_integer_workloads_export_like_python_ints(tmp_path):
+    plain = run_drift(DriftConfig(nodes=5, sweep=(0, 50, 100)))
+    numpy = run_drift(
+        DriftConfig(nodes=5, sweep=tuple(np.arange(0, 101, 50)), baseline_workload=np.int64(50))
+    )
+    first, second = export_result(plain, tmp_path / "a"), export_result(numpy, tmp_path / "b")
+    for left, right in zip(first, second, strict=True):
         assert left.name == right.name
         assert left.read_bytes() == right.read_bytes(), left.name

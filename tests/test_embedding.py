@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knowmap.embedding import (
-    Activation,
     EmbeddingConfig,
     Layer,
     aggregate,
@@ -37,12 +36,15 @@ def identity_layer(k=2):
     return Layer(self_weights=np.eye(k), neighbor_weights=np.eye(k))
 
 
-def test_activation_values():
-    x = np.array([-2.0, 0.0, 3.0])
-    assert np.array_equal(Activation.RELU.apply(x), [0.0, 0.0, 3.0])
-    assert np.array_equal(Activation.IDENTITY.apply(x), x)
-    sig = Activation.SIGMOID.apply(np.array([0.0]))
-    assert sig[0] == 0.5
+def unit_sigmoid(mixed):
+    """The round's output for one mixed row: the logistic sigmoid, normalized."""
+    activated = 1.0 / (1.0 + np.exp(-np.asarray(mixed, dtype=float)))
+    return activated / np.linalg.norm(activated)
+
+
+def underflow_layer(k=2):
+    """Self weights of -1e3: a positive coordinate's sigmoid underflows to exactly 0."""
+    return Layer(self_weights=-1e3 * np.eye(k), neighbor_weights=np.zeros((k, k)))
 
 
 def test_layer_shape_mismatch_rejected():
@@ -121,38 +123,38 @@ def isolated(node_id="solo"):
 def test_normalize_unit_length():
     graph = build_topology(TopologyKind.RING, 5)
     states = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 3))
-    out = embedding_round(graph, states, init_layer(3, 4, [3, 0]), Activation.IDENTITY)
+    out = embedding_round(graph, states, init_layer(3, 4, [3, 0]))
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
-    with pytest.raises(ZeroVectorError):
-        embedding_round(isolated(), np.zeros((1, 2)), identity_layer(), Activation.IDENTITY)
+    with pytest.raises(ZeroVectorError), np.errstate(over="ignore"):
+        embedding_round(isolated(), np.ones((1, 2)), underflow_layer())
 
 
 def test_layer_forward_identity_example():
-    # identity weights: self [1,2] plus neighbor mean [2,0] gives [3,2],
-    # whose unit form is [3,2]/sqrt(13); the other node sees the same sum
+    # identity weights: self [1,2] plus neighbor mean [2,0] mixes to [3,2],
+    # whose unit sigmoid is [0.734..., 0.678...]; the other node sees the same sum
     graph = build_topology(TopologyKind.LINE, 2)
     states = np.array([[1.0, 2.0], [2.0, 0.0]])
-    out = embedding_round(graph, states, identity_layer(), Activation.IDENTITY)
+    out = embedding_round(graph, states, identity_layer())
+    expected = unit_sigmoid([3.0, 2.0])
     for row in out:
-        assert row[0] == 0.8320502943378437
-        assert row[1] == 0.5547001962252291
+        assert row[0] == expected[0]
+        assert row[1] == expected[1]
 
 
 def test_layer_forward_middle_of_a_line():
     # node with self [1,0] and two neighbors [0,1], [1,1]: the neighbor mean
-    # [0.5, 1] joins the self term for [1.5, 1], normalized to [3,2]/sqrt(13)
+    # [0.5, 1] joins the self term for [1.5, 1], the row the sigmoid sees
     graph = build_topology(TopologyKind.LINE, 3)
     states = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    out = embedding_round(graph, states, identity_layer(), Activation.IDENTITY)
-    assert out[1][0] == 0.8320502943378437
-    assert out[1][1] == 0.5547001962252291
+    out = embedding_round(graph, states, identity_layer())
+    expected = unit_sigmoid([1.5, 1.0])
+    assert out[1][0] == expected[0]
+    assert out[1][1] == expected[1]
 
 
 def test_layer_forward_without_neighbors():
-    out = embedding_round(
-        isolated(), np.array([[3.0, 4.0]]), identity_layer(), Activation.IDENTITY
-    )
-    assert np.allclose(out, [[0.6, 0.8]])
+    out = embedding_round(isolated(), np.array([[3.0, 4.0]]), identity_layer())
+    assert np.allclose(out, [unit_sigmoid([3.0, 4.0])])
 
 
 def test_layer_forward_is_neighbor_order_invariant():
@@ -160,39 +162,37 @@ def test_layer_forward_is_neighbor_order_invariant():
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 6)
     layer = init_layer(3, 3, [5, 0])
     states = rng.uniform(-1.0, 1.0, (6, 3))
-    reference = embedding_round(graph, states, layer, Activation.SIGMOID)
+    reference = embedding_round(graph, states, layer)
     for _ in range(100):
         shuffled = rng.permuted(graph.index, axis=1)
         reordered = KnowledgeGraph(graph.node_ids, shuffled, graph.degree)
-        assert np.allclose(
-            embedding_round(reordered, states, layer, Activation.SIGMOID), reference, atol=1e-12
-        )
+        assert np.allclose(embedding_round(reordered, states, layer), reference, atol=1e-12)
 
 
 def test_layer_forward_zero_weights_sigmoid():
     # sigmoid(0) = 0.5 in every coordinate, normalized to 1/sqrt(k)
     layer = Layer(np.zeros((2, 2)), np.zeros((2, 2)))
     graph = build_topology(TopologyKind.LINE, 2)
-    out = embedding_round(
-        graph, np.array([[1.0, -1.0], [2.0, 2.0]]), layer, Activation.SIGMOID
-    )
+    out = embedding_round(graph, np.array([[1.0, -1.0], [2.0, 2.0]]), layer)
     assert np.allclose(out, [[1.0 / np.sqrt(2.0)] * 2] * 2)
 
 
-def test_layer_forward_relu_can_hit_zero():
-    # ReLU empties node-2's all-negative row; the error names it and the round
+def test_layer_forward_sigmoid_underflow_can_hit_zero():
+    # the sigmoid underflows to 0 on node-2's all-positive row, while node-0
+    # and node-1 keep sigmoid(0) = 0.5 in one coordinate; the error names
+    # node-2 and the round
     graph = build_topology(TopologyKind.LINE, 3)
-    layer = Layer(np.eye(2), np.zeros((2, 2)))
-    states = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    with pytest.raises(ZeroVectorError, match=r"round 4 left node 'node-2' all zero"):
-        embedding_round(graph, states, layer, Activation.RELU, round_index=4)
+    states = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    zero_row = pytest.raises(ZeroVectorError, match=r"round 4 left node 'node-2' all zero")
+    with zero_row, np.errstate(over="ignore"):
+        embedding_round(graph, states, underflow_layer(), round_index=4)
 
 
 def test_layer_forward_checks_input_dim():
     with pytest.raises(DimensionMismatchError):
-        embedding_round(isolated(), np.ones((1, 3)), identity_layer(), Activation.IDENTITY)
+        embedding_round(isolated(), np.ones((1, 3)), identity_layer())
     with pytest.raises(DimensionMismatchError):
-        embedding_round(isolated(), np.ones((2, 2)), identity_layer(), Activation.IDENTITY)
+        embedding_round(isolated(), np.ones((2, 2)), identity_layer())
 
 
 def ring_states(n=4, dim=3, seed=0):
@@ -214,8 +214,7 @@ def test_embedding_round_is_synchronous():
         k = int(v.split("-")[1])  # ring-4 neighbours k-1 and k+1, wrapping
         neighbors = np.mean([row[node_name((k + s) % 4)] for s in (-1, 1)], axis=0)
         mixed = input_layer.self_weights @ row[v] + input_layer.neighbor_weights @ neighbors
-        expected = Activation.SIGMOID.apply(mixed)
-        assert np.allclose(forward[i], expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
+        assert np.allclose(forward[i], unit_sigmoid(mixed), rtol=0, atol=1e-15)
 
 
 def test_embedding_round_requires_matching_nodes():
@@ -263,8 +262,8 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
     )
     states = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3))
     layer, _ = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
-    expected = embedding_round(graph, states, layer, Activation.SIGMOID)[perm]
-    got = embedding_round(relabelled, states[perm], layer, Activation.SIGMOID)
+    expected = embedding_round(graph, states, layer)[perm]
+    got = embedding_round(relabelled, states[perm], layer)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
@@ -272,18 +271,14 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
     n=st.integers(min_value=2, max_value=20),
     seed=st.integers(min_value=0, max_value=2**32),
     row=vectors3,
-    activation=st.sampled_from(list(Activation)),
 )
-def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row, activation):
+def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row):
     graph = build_topology(TopologyKind.FULLY_CONNECTED, n)
     input_layer, hidden_layer = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
     states = np.tile(row, (n, 1))
-    try:
-        for layer in (input_layer, hidden_layer, hidden_layer):
-            states = embedding_round(graph, states, layer, activation)
-            np.testing.assert_allclose(states, np.tile(states[0], (n, 1)), rtol=0, atol=1e-14)
-    except ZeroVectorError:
-        pass  # relu or identity can send the shared row to zero: no map to compare
+    for layer in (input_layer, hidden_layer, hidden_layer):
+        states = embedding_round(graph, states, layer)
+        np.testing.assert_allclose(states, np.tile(states[0], (n, 1)), rtol=0, atol=1e-14)
 
 
 def test_single_isolated_node_is_its_own_context():
@@ -291,8 +286,8 @@ def test_single_isolated_node_is_its_own_context():
     config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=4)
     (result,) = embedding_rounds(graph, np.array([[0.2, 0.8, 1.0]]), config)
     input_layer, _ = init_layers(config)
-    direct = Activation.SIGMOID.apply(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))
-    assert np.allclose(result[0], direct / np.linalg.norm(direct), rtol=0, atol=1e-15)
+    direct = unit_sigmoid(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))
+    assert np.allclose(result[0], direct, rtol=0, atol=1e-15)
 
 
 def test_embed_graph_rejects_bad_inputs():

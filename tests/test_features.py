@@ -24,25 +24,24 @@ workloads = st.integers(min_value=0, max_value=10).map(lambda i: i * 10)
 
 
 def test_node_features_invariants():
-    with pytest.raises(ValueError):
-        NodeFeatures(cpu_usage=-0.1, mem_available=100.0, mem_total=100.0)
-    with pytest.raises(ValueError):
-        NodeFeatures(cpu_usage=1.1, mem_available=100.0, mem_total=100.0)
-    with pytest.raises(ValueError):
-        NodeFeatures(cpu_usage=0.5, mem_available=200.0, mem_total=100.0)
-    with pytest.raises(ValueError):
-        NodeFeatures(cpu_usage=0.5, mem_available=0.0, mem_total=0.0)
+    # positional fields: cpu_usage, mem_available, mem_total
+    for bad in [(-0.1, 100.0, 100.0), (1.1, 100.0, 100.0), (0.5, 200.0, 100.0), (0.5, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            NodeFeatures(*bad)
 
 
-@pytest.mark.parametrize("bad", [25, 55, -10, 110, 1, 99])
+@pytest.mark.parametrize(
+    "bad", [25, 55, -10, 110, 1, 99, True, False, 0.0, 50.0, np.float64(50.0), "50", None]
+)
 def test_check_workload_rejects_off_grid_values(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integer multiple of 10"):
         check_workload(bad)
 
 
 @pytest.mark.parametrize("good", [0, 10, 50, 100])
 def test_check_workload_accepts_grid_values(good):
     assert check_workload(good) == good
+    assert check_workload(np.int64(good)) == good
 
 
 @pytest.mark.parametrize(
@@ -80,6 +79,13 @@ def test_feature_vector_components():
     assert v[0] == pytest.approx(0.3, abs=0)
     assert v[1] == pytest.approx(0.7, rel=1e-15)
     assert v[2] == 1.0
+
+
+@pytest.mark.parametrize("w", range(0, 101, 10))
+def test_feature_vector_is_exact_at_every_decade(w):
+    # DEFAULT_MEM_TOTAL is a power of two, so dividing it back out is exact
+    expected = np.array([w / 100, 1 - w / 100, 1.0])
+    assert feature_vector(features_at(w)).tobytes() == expected.tobytes()
 
 
 def test_feature_vector_never_zero():

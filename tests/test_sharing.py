@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from knowmap.embedding import (
-    Activation,
     EmbeddingConfig,
     Layer,
     embedding_round,
@@ -30,7 +29,7 @@ def ring_setup(n=5, dim=4, seed=3):
     config = EmbeddingConfig(dimension=dim, weight_seed=seed)
     input_layer, hidden_layer = init_layers(config)
     raw = np.random.default_rng(0).uniform(0.1, 1.0, (n, 3))
-    states = embedding_round(graph, raw, input_layer, Activation.SIGMOID)
+    states = embedding_round(graph, raw, input_layer)
     return graph, states, hidden_layer
 
 
@@ -83,7 +82,7 @@ def test_sharing_converges_on_uniform_ring():
 def test_one_round_equals_direct_layer_application():
     graph, states, layer = ring_setup()
     result = run_sharing(graph, states, layer, config=SharingConfig(1, 0.0))
-    direct = embedding_round(graph, states, layer, Activation.SIGMOID)
+    direct = embedding_round(graph, states, layer)
     assert np.array_equal(result.states, direct)
 
 
@@ -102,7 +101,7 @@ def test_uniform_features_collapse_is_avoided_by_normalization():
     vectors = np.array([feature_vector(features_at(50))] * 5)
     config = EmbeddingConfig(dimension=4, weight_seed=2)
     input_layer, hidden_layer = init_layers(config)
-    states = embedding_round(graph, vectors, input_layer, Activation.SIGMOID)
+    states = embedding_round(graph, vectors, input_layer)
     result = run_sharing(graph, states, hidden_layer)
     reference = result.states[graph.node_ids.index("node-0")]
     assert np.linalg.norm(reference) > 0.0
@@ -176,8 +175,8 @@ def test_information_spreads_one_hop_per_round():
     for rounds in range(1, 5):
         plain, touched = uniform, seeded
         for _ in range(rounds):
-            plain = embedding_round(graph, plain, hidden_layer, Activation.SIGMOID)
-            touched = embedding_round(graph, touched, hidden_layer, Activation.SIGMOID)
+            plain = embedding_round(graph, plain, hidden_layer)
+            touched = embedding_round(graph, touched, hidden_layer)
         differing = sorted(
             v for v, p, t in zip(graph.node_ids, plain, touched) if p.tobytes() != t.tobytes()
         )
@@ -185,12 +184,15 @@ def test_information_spreads_one_hop_per_round():
 
 
 def test_zero_row_error_names_the_sharing_round():
-    # ReLU of [x1, 0] empties the row one round after [x0, x1] became [x1, 0]
+    # round 1 mixes [1, -1] to [0, 0], whose sigmoid 0.5 normalizes to
+    # [0.707, 0.707]; round 2 mixes that to -1414 in both coordinates, where
+    # the sigmoid underflows to exactly 0
     graph = build_topology(TopologyKind.LINE, 2)
-    layer = Layer(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
-    states = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero"):
-        run_sharing(graph, states, layer, Activation.RELU, SharingConfig(5, 0.0))
+    layer = Layer(-1e3 * np.ones((2, 2)), np.zeros((2, 2)))
+    states = np.array([[1.0, -1.0], [1.0, -1.0]])
+    zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
+    with zero_row, np.errstate(over="ignore"):
+        run_sharing(graph, states, layer, SharingConfig(5, 0.0))
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):
