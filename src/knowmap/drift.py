@@ -42,7 +42,7 @@ from .features import (
     node_keys,
     set_workload,
 )
-from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
+from .graph import KnowledgeGraph, TopologyKind, build_topology, check_count, node_name
 from .pca import fit_pca, transform
 from .sharing import (
     DEFAULT_TOLERANCE,
@@ -80,6 +80,7 @@ class DriftConfig:
     fluctuation: float = DEFAULT_MAGNITUDE
 
     def __post_init__(self) -> None:
+        check_count("nodes", self.nodes, self.topology.min_nodes)
         check_workload(self.baseline_workload)
         if len(self.sweep) == 0:
             raise ValueError("sweep must contain at least one workload")
@@ -249,7 +250,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
     """JSON-ready summary of one drift run."""
     return {
         "topology": result.config.topology.value,
-        "n": result.config.nodes,
+        "n": int(result.config.nodes),
         "target": result.target,
         "sweep": [int(w) for w in result.config.sweep],
         "centroid_distance": [float(d) for d in result.centroid_distances],

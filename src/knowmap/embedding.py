@@ -3,11 +3,16 @@
 Each round every node mixes its own state with the mean of its neighbors'
 states through two weight matrices, applies the logistic sigmoid, and is
 projected back onto the unit sphere.  Repeating the round widens the
-receptive field by one hop.  A round works on an (n x d) state matrix over
-the graph's padded neighbor table, the mean aggregator of GraphSAGE
-(Hamilton et al. 2017) in matrix form.  The network is fixed: the sigmoid is
-its one nonlinearity, so a row comes out all zero only where every mixed
-value is below about -709.8, where exp overflows and the sigmoid is 0.
+receptive field by one hop.  A round works on an (n x d) state matrix, the
+mean aggregator of GraphSAGE (Hamilton et al. 2017) in matrix form.
+
+The neighbor sum has one fixed crossover.  A dense graph (4 * max degree > n)
+sums through one product with the graph's cached 0/1 adjacency; any other
+graph gathers one column of its padded neighbor table at a time, since an
+n x n product costs far more than a few gathers when nodes have few
+neighbors.  The network is fixed: the sigmoid is its one nonlinearity, so a
+row comes out all zero only where every mixed value is below about -709.8,
+where exp overflows and the sigmoid is 0.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
 from .features import check_seed
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, check_count
 
 DEFAULT_DIMENSION = 8
 DEFAULT_ROUNDS = 2
@@ -65,10 +70,8 @@ class EmbeddingConfig:
     weight_seed: int = DEFAULT_WEIGHT_SEED
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        check_count("dimension", self.dimension, 1)
+        check_count("rounds", self.rounds, 1)
         check_seed(self.weight_seed)
 
 
@@ -124,12 +127,15 @@ def embedding_round(
         raise DimensionMismatchError(
             f"expected states of shape ({n}, {layer.in_dim}), got {states.shape}"
         )
-    # Row n is the zero the padding points at, so a pad adds an exact zero
-    # and each sum keeps the neighbor order of the table.
-    padded = np.vstack([states, np.zeros((1, layer.in_dim))])
-    total = np.zeros_like(states)
-    for column in graph.index.T:
-        total += padded[column]
+    if graph.adjacency is not None:
+        total = graph.adjacency @ states
+    else:
+        # Row n is the zero the padding points at, so a pad adds an exact zero
+        # and each sum keeps the neighbor order of the table.
+        padded = np.vstack([states, np.zeros((1, layer.in_dim))])
+        total = np.zeros_like(states)
+        for column in graph.index.T:
+            total += padded[column]
     mean = total / np.maximum(graph.degree, 1)[:, None]
     mixed = states @ layer.self_weights.T + mean @ layer.neighbor_weights.T
     activated = 1.0 / (1.0 + np.exp(-mixed))

@@ -22,7 +22,7 @@ class UnknownNodeError(KnowmapError):
 
 
 class InvalidSizeError(KnowmapError):
-    """A topology builder was asked for too few nodes, or for more than MAX_EDGES edges."""
+    """A size or count is not an integer or out of range, or a topology exceeds MAX_EDGES."""
 
 
 class MagnitudeOutOfRangeError(KnowmapError):

@@ -2,7 +2,8 @@
 
 A graph is its sorted node ids plus, for every node, the ascending positions
 of its neighbours padded to the largest degree: the fixed-size adjacency the
-embedding rounds read (GraphSAGE, Hamilton et al. 2017).  Every link is
+embedding rounds read (GraphSAGE, Hamilton et al. 2017).  A dense graph
+also gives, on first use, its n x n 0/1 adjacency matrix.  Every link is
 undirected, so in- and out-neighbourhoods coincide.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -34,6 +36,17 @@ class TopologyKind(Enum):
     RING = "ring"
     FULLY_CONNECTED = "full"
     LINE = "line"
+
+    @property
+    def min_nodes(self) -> int:
+        """Fewest nodes the shape is built on: a ring needs three to close."""
+        return 3 if self is TopologyKind.RING else 2
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Validate a size or round count: an integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidSizeError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +91,16 @@ class KnowledgeGraph:
         index[node, np.arange(len(node)) - starts[node]] = neighbor
         return cls(node_ids=node_ids, index=index, degree=degree)
 
+    @cached_property
+    def adjacency(self) -> np.ndarray | None:
+        """(n, n) 0/1 link matrix, built on first use, if 4 * max degree > n; else None."""
+        n = self.node_count
+        if 4 * self.index.shape[1] <= n:
+            return None
+        matrix = np.zeros((n, n))
+        matrix[np.repeat(np.arange(n), self.degree), self.index[self.index < n]] = 1.0
+        return matrix
+
     @property
     def node_count(self) -> int:
         return len(self.node_ids)
@@ -117,9 +140,7 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     Ring links i to i+1 mod n, line links i to i+1, and full links every pair.
     A network with more than MAX_EDGES directed edges is rejected.
     """
-    minimum = 3 if kind is TopologyKind.RING else 2
-    if n < minimum:
-        raise InvalidSizeError(f"{kind.value} topology needs at least {minimum} nodes, got {n}")
+    check_count(f"{kind.value} topology size", n, kind.min_nodes)
     size = int(n)  # a Python int, so the count cannot wrap around
     m = {TopologyKind.RING: size, TopologyKind.LINE: size - 1}.get(kind, size * (size - 1) // 2)
     if 2 * m > MAX_EDGES:

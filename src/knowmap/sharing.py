@@ -11,7 +11,7 @@ import numpy as np
 
 from .embedding import Layer, embedding_round, write_embedding_csv
 from .errors import EmptyInputError, NonFiniteValueError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, check_count
 
 DEFAULT_MAX_ROUNDS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -29,8 +29,7 @@ class SharingConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        check_count("max_rounds", self.max_rounds, 0)
         if not math.isfinite(self.tolerance):
             raise NonFiniteValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 0.0:

@@ -9,6 +9,7 @@ import pytest
 
 from knowmap.drift import (
     DEFAULT_SWEEP,
+    METRICS_FILE,
     DriftConfig,
     TrajectoryMetrics,
     export_result,
@@ -92,9 +93,9 @@ def test_config_validation():
     for bad in (True, 50.0):
         with pytest.raises(ValueError, match="integer multiple of 10"):
             DriftConfig(baseline_workload=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSizeError):
         DriftConfig(rounds=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSizeError):
         DriftConfig(dimension=0)
     with pytest.raises(ValueError):
         DriftConfig(sharing_tolerance=-1e-9)
@@ -116,6 +117,39 @@ def test_config_rejects_non_finite_values(field, value):
 def test_config_rejects_a_bad_seed(seed):
     with pytest.raises(InvalidSeedError, match="seed must be a non-negative integer"):
         DriftConfig(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nodes", 5.0),
+        ("nodes", True),
+        pytest.param("nodes", "5", id="nodes-str"),
+        ("nodes", 2),  # a ring needs three nodes
+        ("dimension", 2.0),
+        ("dimension", True),
+        ("rounds", 2.0),
+        ("rounds", True),
+        pytest.param("rounds", np.float64(2.0), id="rounds-np.float64"),
+    ],
+)
+def test_config_rejects_a_bad_size(field, value):
+    with pytest.raises(InvalidSizeError, match=f"{field} must be an integer >= "):
+        DriftConfig(**{field: value})
+
+
+def test_numpy_integer_sizes_export_like_python_ints(tmp_path):
+    plain = run_drift(DriftConfig(nodes=5, dimension=4, rounds=3, sweep=(0, 50, 100)))
+    numpy = run_drift(
+        DriftConfig(
+            nodes=np.int64(5), dimension=np.int32(4), rounds=np.int64(3), sweep=(0, 50, 100)
+        )
+    )
+    first, second = export_result(plain, tmp_path / "a"), export_result(numpy, tmp_path / "b")
+    for left, right in zip(first, second, strict=True):
+        assert left.name == right.name
+        assert left.read_bytes() == right.read_bytes(), left.name
+    assert json.loads((tmp_path / "b" / METRICS_FILE).read_text())["n"] == 5
 
 
 def test_run_rejects_bad_graph_or_target():

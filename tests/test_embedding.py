@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from knowmap.embedding import (
     EmbeddingConfig,
@@ -21,6 +21,7 @@ from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidSeedError,
+    InvalidSizeError,
     ZeroVectorError,
 )
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
@@ -85,10 +86,12 @@ def test_init_layers_shapes():
 
 
 def test_embedding_config_validation():
-    with pytest.raises(ValueError):
-        EmbeddingConfig(dimension=0)
-    with pytest.raises(ValueError):
-        EmbeddingConfig(rounds=0)
+    for bad in (0, -1, 2.0, True, "2"):
+        with pytest.raises(InvalidSizeError, match="dimension must be an integer >= 1"):
+            EmbeddingConfig(dimension=bad)
+        with pytest.raises(InvalidSizeError, match="rounds must be an integer >= 1"):
+            EmbeddingConfig(rounds=bad)
+    assert EmbeddingConfig(dimension=np.int64(3), rounds=np.int32(2)).rounds == 2
     with pytest.raises(InvalidSeedError):
         EmbeddingConfig(weight_seed=-1)
 
@@ -279,6 +282,75 @@ def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row):
     for layer in (input_layer, hidden_layer, hidden_layer):
         states = embedding_round(graph, states, layer)
         np.testing.assert_allclose(states, np.tile(states[0], (n, 1)), rtol=0, atol=1e-14)
+
+
+def table_round(graph, states, layer):
+    """The round with its neighbour sum taken one padded-table column at a time."""
+    padded = np.vstack([states, np.zeros((1, states.shape[1]))])
+    total = np.zeros_like(states)
+    for column in graph.index.T:
+        total += padded[column]
+    mean = total / np.maximum(graph.degree, 1)[:, None]
+    mixed = states @ layer.self_weights.T + mean @ layer.neighbor_weights.T
+    activated = 1.0 / (1.0 + np.exp(-mixed))
+    return activated / np.linalg.norm(activated, axis=1)[:, None]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(n=30, density=0.05, seed=1)  # sparse: the table branch
+@example(n=16, density=0.5, seed=2)  # dense, not complete: the adjacency branch
+def test_both_neighbour_sums_match_the_padded_table(n, density, seed):
+    rng = np.random.default_rng(seed)
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    graph = KnowledgeGraph.from_links(
+        [node_name(i) for i in range(n)], pairs[rng.random(len(pairs)) < density]
+    )
+    states = rng.uniform(0.0, 1.0, (n, 3))
+    layer = init_layer(3, 4, [seed])
+    expected = table_round(graph, states, layer)
+    got = embedding_round(graph, states, layer)
+    adjacency = graph.adjacency
+    assert (adjacency is not None) == (4 * int(graph.degree.max()) > n)
+    if adjacency is None:
+        assert got.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert adjacency.shape == (n, n)
+        assert np.array_equal(adjacency, adjacency.T)
+        assert not adjacency.diagonal().any()
+        assert set(np.unique(adjacency)) <= {0.0, 1.0}
+        assert np.array_equal(adjacency.sum(axis=1), graph.degree)
+    assert graph.adjacency is adjacency  # built once
+
+
+def test_receptive_field_is_bit_exact_on_the_dense_branch():
+    # two 6-cliques, a0..a5 and b0..b5, joined a0 - p0 - p1 - p2 - p3 - b0:
+    # 16 nodes of degree at most 6, so 4 * 6 > 16 takes the adjacency branch
+    names = [f"{side}{i}" for side in "ab" for i in range(6)] + [f"p{i}" for i in range(4)]
+    links = [(c + i, c + j) for c in (0, 6) for i in range(6) for j in range(i + 1, 6)]
+    path = [0, 12, 13, 14, 15, 6]
+    links += list(zip(path, path[1:]))
+    graph = KnowledgeGraph.from_links(names, links)
+    assert graph.adjacency is not None and graph.adjacency.sum() < 16 * 15
+    hops = {"a0": 1, "a2": 1, "a3": 1, "a4": 1, "a5": 1, "p0": 2, "p1": 3, "p2": 4, "p3": 5}
+    hops.update({"b0": 6, **{f"b{i}": 7 for i in range(1, 6)}})  # from the target, a1
+    base = np.random.default_rng(5).uniform(0.1, 1.0, (16, 3))
+    target = graph.node_ids.index("a1")
+    for rounds in (1, 2, 3):
+        config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=8)
+        reference = embedding_rounds(graph, base, config)[-1][target]
+        for node_id, distance in hops.items():
+            perturbed = base.copy()
+            perturbed[graph.node_ids.index(node_id)] += 0.5
+            moved = embedding_rounds(graph, perturbed, config)[-1][target]
+            if distance <= rounds:
+                assert not np.array_equal(moved, reference), (rounds, node_id)
+            else:
+                assert moved.tobytes() == reference.tobytes(), (rounds, node_id)
 
 
 def test_single_isolated_node_is_its_own_context():

@@ -11,7 +11,12 @@ from knowmap.embedding import (
     embedding_round,
     init_layers,
 )
-from knowmap.errors import EmptyInputError, NonFiniteValueError, ZeroVectorError
+from knowmap.errors import (
+    EmptyInputError,
+    InvalidSizeError,
+    NonFiniteValueError,
+    ZeroVectorError,
+)
 from knowmap.features import feature_vector, features_at
 from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import (
@@ -34,8 +39,10 @@ def ring_setup(n=5, dim=4, seed=3):
 
 
 def test_sharing_config_validation():
-    with pytest.raises(ValueError):
-        SharingConfig(max_rounds=-1)
+    for bad in (-1, 2.5, 2.0, True, None):
+        with pytest.raises(InvalidSizeError, match="max_rounds must be an integer >= 0"):
+            SharingConfig(max_rounds=bad)
+    assert SharingConfig(max_rounds=np.int64(0)).max_rounds == 0
     with pytest.raises(ValueError):
         SharingConfig(tolerance=-1e-9)
     for bad in (float("nan"), float("inf")):
