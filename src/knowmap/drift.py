@@ -42,7 +42,7 @@ from .features import (
     node_keys,
     set_workload,
 )
-from .graph import KnowledgeGraph, TopologyKind, build_topology, check_count, node_name
+from .graph import KnowledgeGraph, TopologyKind, build_topology, check_topology, node_name
 from .pca import fit_pca, transform
 from .sharing import (
     DEFAULT_TOLERANCE,
@@ -80,7 +80,7 @@ class DriftConfig:
     fluctuation: float = DEFAULT_MAGNITUDE
 
     def __post_init__(self) -> None:
-        check_count("nodes", self.nodes, self.topology.min_nodes)
+        check_topology(self.topology, self.nodes, "nodes")
         check_workload(self.baseline_workload)
         if len(self.sweep) == 0:
             raise ValueError("sweep must contain at least one workload")

@@ -25,6 +25,10 @@ class InvalidSizeError(KnowmapError):
     """A size or count is not an integer or out of range, or a topology exceeds MAX_EDGES."""
 
 
+class InvalidTopologyError(KnowmapError):
+    """A topology is not a TopologyKind member (ring, full or line)."""
+
+
 class MagnitudeOutOfRangeError(KnowmapError):
     """Fluctuation magnitude outside the supported [0, 0.1) range."""
 

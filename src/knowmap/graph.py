@@ -21,6 +21,7 @@ from .errors import (
     DuplicateEdgeError,
     DuplicateNodeError,
     InvalidSizeError,
+    InvalidTopologyError,
     MissingEndpointError,
     UnknownNodeError,
 )
@@ -37,16 +38,18 @@ class TopologyKind(Enum):
     FULLY_CONNECTED = "full"
     LINE = "line"
 
-    @property
-    def min_nodes(self) -> int:
-        """Fewest nodes the shape is built on: a ring needs three to close."""
-        return 3 if self is TopologyKind.RING else 2
-
 
 def check_count(name: str, value: int, minimum: int) -> None:
     """Validate a size or round count: an integer, not a bool, of at least minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InvalidSizeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_topology(kind: TopologyKind, n: int, name: str | None = None) -> None:
+    """Validate a topology kind, then its size n, called name: a ring needs 3 nodes, others 2."""
+    if not isinstance(kind, TopologyKind):
+        raise InvalidTopologyError(f"topology {kind!r} is not a TopologyKind (ring, full or line)")
+    check_count(name or f"{kind.value} topology size", n, 3 if kind is TopologyKind.RING else 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +81,15 @@ class KnowledgeGraph:
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         a, b = rank[links[:, 0]], rank[links[:, 1]]
-        # Both directions of every link, sorted by node, then neighbour.  A
-        # self link, or a link given twice in either orientation, repeats a pair.
-        node, neighbor = np.concatenate([a, b]), np.concatenate([b, a])
-        by_node = np.lexsort((neighbor, node))
-        node, neighbor = node[by_node], neighbor[by_node]
-        if ((node[1:] == node[:-1]) & (neighbor[1:] == neighbor[:-1])).any():
+        # Both directions of every link as one key node * n + neighbour; n * n < 2**63 fits intp.
+        pairs = np.concatenate([a * n + b, b * n + a])
+        pairs.sort(kind="stable")  # timsort: quick on sorted runs; pages in no SIMD code
+        if (pairs[1:] == pairs[:-1]).any():  # a self link, or a link given twice either way
             raise DuplicateEdgeError("links must join two distinct nodes at most once")
+        node, neighbor = np.divmod(pairs, n)
         degree = np.bincount(node, minlength=n)
-        starts = np.cumsum(degree) - degree
         index = np.full((n, int(degree.max(initial=0))), n, dtype=np.intp)
-        index[node, np.arange(len(node)) - starts[node]] = neighbor
+        index[np.arange(index.shape[1]) < degree[:, None]] = neighbor  # row-major fill
         return cls(node_ids=node_ids, index=index, degree=degree)
 
     @cached_property
@@ -97,9 +98,9 @@ class KnowledgeGraph:
         n = self.node_count
         if 4 * self.index.shape[1] <= n:
             return None
-        matrix = np.zeros((n, n))
-        matrix[np.repeat(np.arange(n), self.degree), self.index[self.index < n]] = 1.0
-        return matrix
+        matrix = np.zeros((n, n + 1))  # column n takes the padding
+        matrix[np.arange(n)[:, None], self.index] = 1.0
+        return matrix[:, :n]
 
     @property
     def node_count(self) -> int:
@@ -112,22 +113,21 @@ class KnowledgeGraph:
 
     def canonical_json(self) -> str:
         """json.dumps(indent=2, sort_keys=True) of ComputationalNode nodes and each link as two
-        CONNECTED_TO triples sorted by source, then target; one join per source node."""
+        CONNECTED_TO triples sorted by source, then target; one join for the whole text."""
         names = [json.dumps(node_id) for node_id in self.node_ids]
-        edges = []
-        for source, row, degree in zip(names, self.index.tolist(), self.degree.tolist()):
-            if degree:
-                head = f'    {{\n      "r": "{CONNECTED_TO}",\n      "s": {source},\n      "t": '
-                targets = [names[target] for target in row[:degree]]
-                edges.append(head + ("\n    },\n" + head).join(targets) + "\n    }")
-        node = f'    {{\n      "id": %s,\n      "labels": [\n        "{COMPUTATIONAL_NODE}"\n'
+        targets = np.array(names + [""], dtype=object)[self.index].tolist()
+        node = f'\n    {{\n      "id": %s,\n      "labels": [\n        "{COMPUTATIONAL_NODE}"\n'
         node += '      ],\n      "properties": {}\n    }'
-        nodes = [node % name for name in names]
-        return '{\n  "edges": %s,\n  "nodes": %s\n}' % (_json_list(edges), _json_list(nodes))
-
-
-def _json_list(items: list[str]) -> str:  # items already indented one level deep
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        edges, nodes = [], []  # every item is led by a "," piece, dropped for a list's first
+        for source, row, degree in zip(names, targets, self.degree.tolist()):
+            nodes += [",", node % source]
+            if degree:
+                head = f'\n    {{\n      "r": "{CONNECTED_TO}",\n      "s": {source},\n      "t": '
+                edges += [",", head, ("\n    }," + head).join(row[:degree]), "\n    }"]
+        return "".join([
+            '{\n  "edges": [', *edges[1:], "\n  ]" if edges else "]",
+            ',\n  "nodes": [', *nodes[1:], "\n  ]" if nodes else "]", "\n}",
+        ])
 
 
 def node_name(index: int) -> str:
@@ -140,7 +140,7 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     Ring links i to i+1 mod n, line links i to i+1, and full links every pair.
     A network with more than MAX_EDGES directed edges is rejected.
     """
-    check_count(f"{kind.value} topology size", n, kind.min_nodes)
+    check_topology(kind, n)
     size = int(n)  # a Python int, so the count cannot wrap around
     m = {TopologyKind.RING: size, TopologyKind.LINE: size - 1}.get(kind, size * (size - 1) // 2)
     if 2 * m > MAX_EDGES:

@@ -22,6 +22,7 @@ from knowmap.errors import (
     DimensionMismatchError,
     InvalidSeedError,
     InvalidSizeError,
+    InvalidTopologyError,
     MagnitudeOutOfRangeError,
     NonFiniteValueError,
     TooFewStepsError,
@@ -136,6 +137,13 @@ def test_config_rejects_a_bad_seed(seed):
 def test_config_rejects_a_bad_size(field, value):
     with pytest.raises(InvalidSizeError, match=f"{field} must be an integer >= "):
         DriftConfig(**{field: value})
+
+
+@pytest.mark.parametrize("topology", ["ring", None, 0])
+def test_config_rejects_a_topology_that_is_not_a_kind(topology):
+    with pytest.raises(InvalidTopologyError, match=r"\(ring, full or line\)") as raised:
+        DriftConfig(topology=topology, nodes=5)
+    assert repr(topology) in str(raised.value)
 
 
 def test_numpy_integer_sizes_export_like_python_ints(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from knowmap.errors import (
     DuplicateEdgeError,
     DuplicateNodeError,
     InvalidSizeError,
+    InvalidTopologyError,
     MissingEndpointError,
     UnknownNodeError,
 )
@@ -170,6 +172,16 @@ def test_topology_size_limits(kind, n):
         build_topology(kind, n)
 
 
+@pytest.mark.parametrize("kind", ["ring", None, 0])
+def test_topology_must_be_a_topology_kind(kind):
+    # the bare value "ring" too: only a TopologyKind member names a topology
+    with pytest.raises(InvalidTopologyError) as raised:
+        build_topology(kind, 5)
+    message = str(raised.value)
+    assert repr(kind) in message
+    assert all(k.value in message for k in TopologyKind)
+
+
 def test_topology_build_is_deterministic():
     a = build_topology(TopologyKind.FULLY_CONNECTED, 5)
     b = build_topology(TopologyKind.FULLY_CONNECTED, 5)
@@ -224,6 +236,38 @@ def test_neighbor_table_of_isolated_nodes_has_no_columns():
     assert json.loads(kg.canonical_json())["edges"] == []
 
 
+def test_empty_graph():
+    kg = KnowledgeGraph.from_links([], [])
+    assert kg.node_ids == []
+    assert kg.index.shape == (0, 0)
+    assert kg.edge_count == 0
+    assert kg.canonical_json() == json.dumps(snapshot(kg), indent=2, sort_keys=True)
+
+
+def traced_peak(build):
+    """Return build()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjacency_is_built_without_copies_of_the_table():
+    graph = build_topology(TopologyKind.FULLY_CONNECTED, 300)
+    adjacency, peak = traced_peak(lambda: graph.adjacency)
+    # the matrix plus its padding column, and no (n, max degree) temporaries
+    assert peak < 1.5 * adjacency.nbytes
+
+
+def test_canonical_json_is_joined_once():
+    graph = build_topology(TopologyKind.FULLY_CONNECTED, 200)
+    text, peak = traced_peak(graph.canonical_json)
+    # the pieces plus the text they join into: no second copy of the text
+    assert peak < 2.5 * len(text)
+
+
 @st.composite
 def graphs_as_links(draw):
     """Distinct names, a set of distinct non-self links, and a relabelling."""
@@ -267,7 +311,7 @@ AWKWARD_IDS = st.sampled_from(['"', "\\", 'a"b\\c', "\n", "\x00\x1f\x7f", "é", 
 
 
 @given(
-    st.lists(st.text(min_size=1) | AWKWARD_IDS, min_size=1, max_size=8, unique=True),
+    st.lists(st.text(min_size=1) | AWKWARD_IDS, min_size=0, max_size=8, unique=True),
     st.data(),
 )
 def test_canonical_json_is_json_dumps_of_the_snapshot(names, data):
