@@ -29,6 +29,7 @@ from .embedding import (
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    InvalidConfigError,
     MagnitudeOutOfRangeError,
     TooFewStepsError,
     UnknownNodeError,
@@ -83,11 +84,11 @@ class DriftConfig:
         check_topology(self.topology, self.nodes, "nodes")
         check_workload(self.baseline_workload)
         if len(self.sweep) == 0:
-            raise ValueError("sweep must contain at least one workload")
+            raise InvalidConfigError("sweep must contain at least one workload")
         for w in self.sweep:
             check_workload(w)
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
-            raise ValueError(f"sweep must be strictly increasing, got {self.sweep}")
+            raise InvalidConfigError(f"sweep must be strictly increasing, got {self.sweep}")
         if not 0.0 <= self.fluctuation < 0.1:
             raise MagnitudeOutOfRangeError(
                 f"fluctuation magnitude must be in [0, 0.1), got {self.fluctuation}"

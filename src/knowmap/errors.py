@@ -29,6 +29,10 @@ class InvalidTopologyError(KnowmapError):
     """A topology is not a TopologyKind member (ring, full or line)."""
 
 
+class InvalidConfigError(KnowmapError, ValueError):
+    """A workload, sweep or tolerance is out of range; still a ValueError to older callers."""
+
+
 class MagnitudeOutOfRangeError(KnowmapError):
     """Fluctuation magnitude outside the supported [0, 0.1) range."""
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSeedError, MagnitudeOutOfRangeError
+from .errors import InvalidConfigError, InvalidSeedError, MagnitudeOutOfRangeError
 
 # MiB, homogeneous across nodes.  It must stay a power of two: memory enters
 # the features only as mem_available / mem_total, and scaling by a power of
@@ -44,7 +44,7 @@ def check_workload(value: int) -> int:
     """Validate a workload percent: an integer multiple of 10 within [0, 100]."""
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integral or value % WORKLOAD_STEP != 0 or not 0 <= value <= 100:
-        raise ValueError(
+        raise InvalidConfigError(
             f"workload must be an integer multiple of 10 in [0, 100], got {value!r}"
         )
     return value

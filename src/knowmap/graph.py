@@ -137,7 +137,8 @@ def node_name(index: int) -> str:
 def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     """Build one of the three experimental networks on "node-0" .. "node-(n-1)".
 
-    Ring links i to i+1 mod n, line links i to i+1, and full links every pair.
+    Ring links i to i+1 mod n and line links i to i+1, through from_links;
+    full links every pair, and its table is built in closed form.
     A network with more than MAX_EDGES directed edges is rejected.
     """
     check_topology(kind, n)
@@ -146,11 +147,15 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     if 2 * m > MAX_EDGES:
         raise InvalidSizeError(f"{kind.value} topology on {n} nodes exceeds {MAX_EDGES} edges")
 
-    i = np.arange(n)
+    names = [node_name(k) for k in range(size)]
+    i = np.arange(size)
+    if kind is TopologyKind.FULLY_CONNECTED:
+        # Row r is every position but r, however the names sort: no links to sort.
+        j = np.arange(1, size)
+        index = j - (j <= i[:, None])
+        return KnowledgeGraph(sorted(names), index, np.full(size, size - 1, dtype=np.intp))
     if kind is TopologyKind.RING:
-        links = np.column_stack([i, (i + 1) % n])
-    elif kind is TopologyKind.LINE:
-        links = np.column_stack([i[:-1], i[1:]])
+        links = np.column_stack([i, (i + 1) % size])
     else:
-        links = np.column_stack(np.triu_indices(n, k=1))
-    return KnowledgeGraph.from_links([node_name(k) for k in range(n)], links)
+        links = np.column_stack([i[:-1], i[1:]])
+    return KnowledgeGraph.from_links(names, links)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Layer, embedding_round, write_embedding_csv
-from .errors import EmptyInputError, NonFiniteValueError
+from .errors import EmptyInputError, InvalidConfigError, NonFiniteValueError
 from .graph import KnowledgeGraph, check_count
 
 DEFAULT_MAX_ROUNDS = 50
@@ -33,7 +33,7 @@ class SharingConfig:
         if not math.isfinite(self.tolerance):
             raise NonFiniteValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+            raise InvalidConfigError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
-from xml.sax.saxutils import escape
 
 if TYPE_CHECKING:
     from .drift import DriftResult
@@ -26,6 +25,11 @@ GRADIENT_HIGH = (0xB2, 0x18, 0x2B)
 BASELINE_FILL = "#888888"
 
 TARGET_PREFIX = "target:"
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for SVG text, as xml.sax.saxutils.escape does, without its imports."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def workload_color(workload: int) -> str:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+import knowmap
 from knowmap.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from knowmap.drift import (
     DEFAULT_BASELINE,
@@ -261,3 +266,13 @@ def test_plot_malformed_csv_is_a_config_error(tmp_path):
     for row in ("row,50,nan,0.0", "row,50,0.0,inf"):
         bad.write_text(f"label,workload_pct,x,y\nok,50,1.0,2.0\n{row}\n")
         assert main(["plot", "--projection", str(bad)]) == EXIT_CONFIG
+
+
+def test_python_dash_m_knowmap_runs_the_cli(tmp_path):
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "knowmap", "drift", "--nodes", "5", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert all((tmp_path / name).is_file() for name in DRIFT_FILES)

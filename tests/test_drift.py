@@ -20,15 +20,18 @@ from knowmap.drift import (
 )
 from knowmap.errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     InvalidSeedError,
     InvalidSizeError,
     InvalidTopologyError,
+    KnowmapError,
     MagnitudeOutOfRangeError,
     NonFiniteValueError,
     TooFewStepsError,
     UnknownNodeError,
 )
 from knowmap.graph import TopologyKind
+from knowmap.sharing import SharingConfig
 
 
 def test_default_sweep_covers_the_decade_grid():
@@ -100,6 +103,23 @@ def test_config_validation():
         DriftConfig(dimension=0)
     with pytest.raises(ValueError):
         DriftConfig(sharing_tolerance=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DriftConfig(baseline_workload=55),
+        lambda: DriftConfig(sweep=()),
+        lambda: DriftConfig(sweep=(50, 40)),
+        lambda: SharingConfig(tolerance=-1.0),
+    ],
+    ids=["baseline-55", "empty-sweep", "falling-sweep", "negative-tolerance"],
+)
+def test_config_range_errors_are_typed(build):
+    # a KnowmapError, and still the ValueError older callers catch
+    with pytest.raises(InvalidConfigError) as caught:
+        build()
+    assert isinstance(caught.value, KnowmapError) and isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize(

@@ -261,6 +261,27 @@ def test_adjacency_is_built_without_copies_of_the_table():
     assert peak < 1.5 * adjacency.nbytes
 
 
+@pytest.mark.parametrize("n", [*range(2, 65), 300])
+def test_full_topology_in_closed_form_is_the_linked_graph(n):
+    graph = build_topology(TopologyKind.FULLY_CONNECTED, n)
+    # the validating constructor on every pair as one link
+    names = [node_name(k) for k in range(n)]
+    reference = KnowledgeGraph.from_links(names, np.column_stack(np.triu_indices(n, k=1)))
+    assert graph.node_ids == reference.node_ids
+    for field in ("index", "degree"):
+        built, linked = getattr(graph, field), getattr(reference, field)
+        assert built.dtype == linked.dtype == np.intp
+        assert np.array_equal(built, linked)
+    if n == 300:
+        assert np.array_equal(graph.adjacency, reference.adjacency)
+
+
+def test_full_topology_is_built_without_a_link_array():
+    graph, peak = traced_peak(lambda: build_topology(TopologyKind.FULLY_CONNECTED, 300))
+    # the table and one boolean mask of its size; no (m, 2) links, keys or sort
+    assert peak < 2 * graph.index.nbytes
+
+
 def test_canonical_json_is_joined_once():
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 200)
     text, peak = traced_peak(graph.canonical_json)

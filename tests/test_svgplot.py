@@ -1,10 +1,18 @@
 """SVG scatter rendering tests."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
+import pytest
+from hypothesis import given, strategies as st
+
+import knowmap
 from knowmap.drift import DriftConfig, run_drift
 from knowmap.graph import TopologyKind
-from knowmap.svgplot import render_scatter, workload_color, write_drift_svg
+from knowmap.svgplot import escape, render_scatter, workload_color, write_drift_svg
 
 
 def test_color_ramp_endpoints():
@@ -56,6 +64,33 @@ def test_labels_are_escaped():
     svg = render_scatter(["baseline:<x&y>"], [50], [[0.0, 0.0]])
     assert "<x&y>" not in svg
     assert "&lt;x&amp;y&gt;" in svg
+
+
+@given(st.text())
+def test_escape_is_saxutils_escape(text):
+    assert escape(text) == sax_escape(text)
+
+
+# xml.sax.saxutils alone loads urllib.request, and with it http.client, email and ssl
+UNUSED_MODULES = ("urllib.request", "http.client", "email", "ssl", "xml.sax")
+
+
+def test_a_drift_export_imports_no_url_mail_or_sax_modules(tmp_path):
+    script = (
+        "import sys\n"
+        "from knowmap.cli import main\n"
+        f"code = main(['drift', '--nodes', '5', '--out', {str(tmp_path)!r}])\n"  # a ring
+        f"print(sorted(set({UNUSED_MODULES!r}) & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "trajectory.svg").is_file()
 
 
 def test_render_validation():
