@@ -6,14 +6,13 @@ from .drift import (
     TrajectoryMetrics,
     export_result,
     run_drift,
+    settle,
     trajectory_metrics,
 )
 from .embedding import (
-    EmbeddingConfig,
     Layer,
     aggregate,
     embedding_round,
-    embedding_rounds,
     init_layer,
     init_layers,
 )
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DriftConfig",
     "DriftResult",
-    "EmbeddingConfig",
     "KnowledgeGraph",
     "KnowledgeMap",
     "KnowmapError",
@@ -49,7 +47,6 @@ __all__ = [
     "build_topology",
     "embedding_round",
     "export_result",
-    "embedding_rounds",
     "feature_vector",
     "features_at",
     "fit_pca",
@@ -60,6 +57,7 @@ __all__ = [
     "run_drift",
     "run_sharing",
     "set_workload",
+    "settle",
     "trajectory_metrics",
     "transform",
     "__version__",

@@ -13,14 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .drift import DEFAULT_BASELINE, DEFAULT_SEED, DriftConfig, export_result, run_drift
-from .embedding import (
-    DEFAULT_DIMENSION,
-    DEFAULT_ROUNDS,
-    EmbeddingConfig,
-    embedding_rounds,
-    write_embedding_csv,
-)
+from .drift import DEFAULT_BASELINE, DEFAULT_SEED, DriftConfig, export_result, run_drift, settle
+from .embedding import DEFAULT_DIMENSION, DEFAULT_ROUNDS, init_layers, write_embedding_csv
 from .errors import KnowmapError, MalformedCsvError
 from .features import DEFAULT_MAGNITUDE, feature_vector, features_at
 from .graph import TopologyKind, build_topology
@@ -120,16 +114,22 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_embed(args: argparse.Namespace) -> int:
-    config = EmbeddingConfig(
-        dimension=args.dim, rounds=args.rounds, weight_seed=args.seed
+    config = DriftConfig(
+        topology=TopologyKind(args.topology),
+        nodes=args.nodes,
+        seed=args.seed,
+        baseline_workload=args.workload,
+        dimension=args.dim,
+        rounds=args.rounds,
+        sharing_tolerance=0.0,
     )
-    graph = build_topology(TopologyKind(args.topology), args.nodes)
-    features = np.tile(feature_vector(features_at(args.workload)), (graph.node_count, 1))
-    snapshots = embedding_rounds(graph, features, config)
-    write_embedding_csv(args.out, graph.node_ids, snapshots)
-    print(
-        f"wrote {args.out} ({graph.node_count} nodes x {len(snapshots)} rounds)"
-    )
+    graph = build_topology(config.topology, config.nodes)
+    features = np.tile(feature_vector(features_at(config.baseline_workload)), (graph.node_count, 1))
+    layers = init_layers(config.dimension, config.seed)
+    history: list[np.ndarray] = []
+    settle(graph, features, layers, config.sharing_config(), history)
+    write_embedding_csv(args.out, graph.node_ids, history)
+    print(f"wrote {args.out} ({graph.node_count} nodes x {len(history)} rounds)")
     return EXIT_OK
 
 

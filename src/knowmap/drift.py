@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import (
     DEFAULT_DIMENSION,
     DEFAULT_ROUNDS,
-    EmbeddingConfig,
+    Layer,
     aggregate,
     csv_field,
     embedding_round,
@@ -37,13 +37,21 @@ from .errors import (
 from .features import (
     DEFAULT_MAGNITUDE,
     apply_fluctuation,
+    check_seed,
     check_workload,
     feature_vector,
     features_at,
     node_keys,
     set_workload,
 )
-from .graph import KnowledgeGraph, TopologyKind, build_topology, check_topology, node_name
+from .graph import (
+    KnowledgeGraph,
+    TopologyKind,
+    build_topology,
+    check_count,
+    check_topology,
+    node_name,
+)
 from .pca import fit_pca, transform
 from .sharing import (
     DEFAULT_TOLERANCE,
@@ -93,16 +101,10 @@ class DriftConfig:
             raise MagnitudeOutOfRangeError(
                 f"fluctuation magnitude must be in [0, 0.1), got {self.fluctuation}"
             )
-        self.embedding_config()  # validates dimension, rounds and the seed
+        check_count("dimension", self.dimension, 1)
+        check_count("rounds", self.rounds, 1)
+        check_seed(self.seed)  # also the seed of the layer weights
         self.sharing_config()  # validates the tolerance
-
-    def embedding_config(self) -> EmbeddingConfig:
-        """Embedding stack for this run; weights are drawn from the run seed."""
-        return EmbeddingConfig(
-            dimension=self.dimension,
-            rounds=self.rounds,
-            weight_seed=self.seed,
-        )
 
     def sharing_config(self) -> SharingConfig:
         """Stopping rule for the hidden rounds that follow the input round."""
@@ -154,7 +156,7 @@ def trajectory_metrics(
             f"need at least 3 sweep steps to assess shape, got {len(workloads)}"
         )
     if any(b <= a for a, b in zip(workloads, workloads[1:])):
-        raise ValueError(f"workloads must be strictly increasing, got {workloads}")
+        raise InvalidConfigError(f"workloads must be strictly increasing, got {workloads}")
     best = int(np.argmin(distances))
     left = [d for w, d in zip(workloads, distances) if w <= baseline]
     right = [d for w, d in zip(workloads, distances) if w >= baseline]
@@ -167,15 +169,24 @@ def trajectory_metrics(
     )
 
 
-def _settle(
+def settle(
     graph: KnowledgeGraph,
     features: np.ndarray,
-    config: DriftConfig,
+    layers: tuple[Layer, Layer],
+    config: SharingConfig,
+    history: list[np.ndarray] | None = None,
 ) -> KnowledgeMap:
-    """Full pipeline for one feature assignment: input round, then sharing."""
-    input_layer, hidden_layer = init_layers(config.embedding_config())
+    """Settle one feature assignment: the input round, then the sharing rounds.
+
+    layers is the (input, hidden) pair of init_layers; rounds_used counts the
+    input round too.  Given a history list, the states after every round,
+    input round first, are appended to it.
+    """
+    input_layer, hidden_layer = layers
     first = embedding_round(graph, features, input_layer)
-    shared = run_sharing(graph, first, hidden_layer, config.sharing_config())
+    if history is not None:
+        history.append(first)
+    shared = run_sharing(graph, first, hidden_layer, config, history)
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
@@ -197,13 +208,16 @@ def run_drift(config: DriftConfig) -> DriftResult:
             rows[target_row] = feature_vector(set_workload(base, pinned))
         return rows
 
-    baseline_map = _settle(graph, draw(0), config)
+    # Layers are drawn once per settle: the benchmark's traced run counts the calls.
+    sharing = config.sharing_config()
+    baseline_map = settle(graph, draw(0), init_layers(config.dimension, config.seed), sharing)
 
     centroid_distances: list[float] = []
     target_rows: list[np.ndarray] = []
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
-        step_map = _settle(graph, draw(step_index, pinned=workload), config)
+        features = draw(step_index, pinned=workload)
+        step_map = settle(graph, features, init_layers(config.dimension, config.seed), sharing)
         state = step_map.states[target_row]
         centroid = aggregate(np.delete(step_map.states, target_row, axis=0))
         centroid_distances.append(float(np.linalg.norm(state - centroid)))

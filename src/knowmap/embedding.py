@@ -25,17 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
-from .features import check_seed
 from .graph import KnowledgeGraph, check_count
 
 DEFAULT_DIMENSION = 8
 DEFAULT_ROUNDS = 2
-DEFAULT_WEIGHT_SEED = 7
 FEATURE_DIMENSION = 3
-
-# Stream indices for the two layers drawn from one weight seed.
-_INPUT_LAYER_STREAM = 0
-_HIDDEN_LAYER_STREAM = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,27 +55,13 @@ class Layer:
         return self.self_weights.shape[0]
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    """Shape and seeding of the embedding stack."""
-
-    dimension: int = DEFAULT_DIMENSION
-    rounds: int = DEFAULT_ROUNDS
-    weight_seed: int = DEFAULT_WEIGHT_SEED
-
-    def __post_init__(self) -> None:
-        check_count("dimension", self.dimension, 1)
-        check_count("rounds", self.rounds, 1)
-        check_seed(self.weight_seed)
-
-
 def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer:
     """Draw both weight matrices uniformly from [-a, a], a = sqrt(6/(in+out)).
 
     The bound keeps activations in a comparable range across dimensions.
     """
-    if in_dim < 1 or out_dim < 1:
-        raise ValueError(f"layer dims must be >= 1, got {in_dim}x{out_dim}")
+    check_count("in_dim", in_dim, 1)
+    check_count("out_dim", out_dim, 1)
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_material)))
     bound = np.sqrt(6.0 / (in_dim + out_dim))
     self_w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
@@ -89,17 +69,14 @@ def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer
     return Layer(self_weights=self_w, neighbor_weights=neighbor_w)
 
 
-def init_layers(config: EmbeddingConfig, in_dim: int = FEATURE_DIMENSION) -> tuple[Layer, Layer]:
+def init_layers(dimension: int, seed: int, in_dim: int = FEATURE_DIMENSION) -> tuple[Layer, Layer]:
     """Input layer (features -> embedding) and hidden layer (embedding -> embedding).
 
-    The hidden layer is shared across all rounds after the first.
+    They are drawn from streams 0 and 1 of seed.  The hidden layer is shared
+    across all rounds after the first.
     """
-    input_layer = init_layer(
-        in_dim, config.dimension, [config.weight_seed, _INPUT_LAYER_STREAM]
-    )
-    hidden_layer = init_layer(
-        config.dimension, config.dimension, [config.weight_seed, _HIDDEN_LAYER_STREAM]
-    )
+    input_layer = init_layer(in_dim, dimension, [seed, 0])
+    hidden_layer = init_layer(dimension, dimension, [seed, 1])
     return input_layer, hidden_layer
 
 
@@ -144,24 +121,6 @@ def embedding_round(
         node_id = graph.node_ids[int(np.argmin(norms))]
         raise ZeroVectorError(f"round {round_index} left node {node_id!r} all zero")
     return activated / norms[:, None]
-
-
-def embedding_rounds(
-    graph: KnowledgeGraph,
-    features: np.ndarray,
-    config: EmbeddingConfig,
-) -> list[np.ndarray]:
-    """Per-round (n x d) states from (n x k) features in node order; index 0 is round 1."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.size == 0:
-        raise DimensionMismatchError(
-            f"input features must be a non-empty (n x k) matrix, got shape {features.shape}"
-        )
-    input_layer, hidden_layer = init_layers(config, in_dim=features.shape[1])
-    rounds = [embedding_round(graph, features, input_layer)]
-    for r in range(2, config.rounds + 1):
-        rounds.append(embedding_round(graph, rounds[-1], hidden_layer, r))
-    return rounds
 
 
 def write_embedding_csv(

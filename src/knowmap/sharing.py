@@ -59,12 +59,14 @@ def run_sharing(
     states: np.ndarray,
     layer: Layer,
     config: SharingConfig = SharingConfig(),
+    history: list[np.ndarray] | None = None,
 ) -> KnowledgeMap:
     """Repeat sharing rounds until movement drops below tolerance.
 
     Rounds are synchronous: all nodes update from the same pre-round
     snapshot, so the result is independent of node iteration order.
-    states holds one row per node in graph.node_ids order.
+    states holds one row per node in graph.node_ids order.  Given a history
+    list, each round's states are appended to it.
     """
     current = np.asarray(states, dtype=float)
     rounds_used, converged, final_delta = 0, False, 0.0
@@ -73,6 +75,8 @@ def run_sharing(
         updated = embedding_round(graph, current, layer, rounds_used)
         final_delta = states_delta(current, updated)
         current = updated
+        if history is not None:
+            history.append(current)
         converged = config.tolerance > 0.0 and final_delta < config.tolerance
     return KnowledgeMap(
         node_ids=graph.node_ids,

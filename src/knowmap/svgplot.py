@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from .errors import DimensionMismatchError, EmptyInputError
+
 if TYPE_CHECKING:
     from .drift import DriftResult
 
@@ -66,9 +68,9 @@ def render_scatter(
     form a gray background cloud.  Every row becomes exactly one circle.
     """
     if not (len(labels) == len(workloads) == len(points)):
-        raise ValueError("labels, workloads, and points must align")
+        raise DimensionMismatchError("labels, workloads, and points must align")
     if len(points) == 0:
-        raise ValueError("nothing to plot")
+        raise EmptyInputError("nothing to plot")
     x_lo, x_hi, y_lo, y_hi = _spans(points)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from knowmap.cli import main
-from knowmap.drift import DriftConfig, run_drift
-from knowmap.embedding import EmbeddingConfig, embedding_rounds, init_layers
+from knowmap.drift import DriftConfig, run_drift, settle
+from knowmap.embedding import init_layers
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from knowmap.pca import fit_pca, transform
+from knowmap.sharing import SharingConfig
 
 ALL_TOPOLOGIES = (TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.LINE)
 SWEEP_SIZES = (5, 10, 20)
@@ -31,6 +32,11 @@ def baseline_spread(result):
     rows = result.baseline_map.states
     centroid = rows.mean(axis=0)
     return float(np.mean(np.linalg.norm(rows - centroid, axis=1)))
+
+
+def every_round(rounds):
+    """Stopping rule of a settle that runs all its rounds: the input round, then rounds - 1."""
+    return SharingConfig(max_rounds=rounds - 1, tolerance=0.0)
 
 
 def adjacent_inversions(values, rising, tolerance=1e-9):
@@ -161,7 +167,7 @@ def oracle_embed(neighbors, vectors, layers, rounds):
 
 
 def test_ac4_embedding_oracle_equivalence(capsys):
-    """embedding_rounds agrees with an explicit-loop oracle on every small graph."""
+    """settle, the loop run_drift runs, agrees with an explicit-loop oracle on small graphs."""
     graphs = all_graphs_up_to_four_nodes()
     assert len(graphs) == 75  # 1 + 2 + 8 + 64 labeled graphs on 1..4 nodes
     rng = np.random.default_rng(2024)
@@ -169,11 +175,10 @@ def test_ac4_embedding_oracle_equivalence(capsys):
     for trial in range(100):
         graph, neighbors = graphs[trial % len(graphs)]
         rounds = 1 + trial % 2
-        config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=trial)
+        input_layer, hidden_layer = init_layers(4, trial)
         vectors = {v: rng.uniform(0.1, 1.0, 3) for v in neighbors}
         features = np.array([vectors[v] for v in graph.node_ids])
-        got = embedding_rounds(graph, features, config)[-1]
-        input_layer, hidden_layer = init_layers(config)
+        got = settle(graph, features, (input_layer, hidden_layer), every_round(rounds)).states
         layers = (
             (input_layer.self_weights.tolist(), input_layer.neighbor_weights.tolist()),
             (hidden_layer.self_weights.tolist(), hidden_layer.neighbor_weights.tolist()),
@@ -197,12 +202,12 @@ def test_ac5_receptive_field(capsys):
     base = np.array([rng.uniform(0.1, 1.0, 3) for _ in graph.node_ids])
     target = graph.node_ids.index(node_name(0))
     for rounds in (1, 2, 3):
-        config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=8)
-        reference = embedding_rounds(graph, base, config)[-1][target]
+        layers, sharing = init_layers(4, 8), every_round(rounds)
+        reference = settle(graph, base, layers, sharing).states[target]
         for distance in range(1, 10):
             perturbed = base.copy()
             perturbed[graph.node_ids.index(node_name(distance))] += 0.5
-            moved = embedding_rounds(graph, perturbed, config)[-1][target]
+            moved = settle(graph, perturbed, layers, sharing).states[target]
             if distance <= rounds:
                 assert not np.array_equal(moved, reference), (
                     f"L={rounds}: perturbation at distance {distance} had no effect"

@@ -1,6 +1,7 @@
 """CLI behavior: defaults, artifacts, exit codes, and determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -233,6 +234,43 @@ def test_embed_rows_follow_the_graph_node_order(tmp_path):
 def test_embed_rejects_bad_workload(tmp_path):
     path = tmp_path / "emb.csv"
     assert main(["embed", "--workload", "33", "--out", str(path)]) == EXIT_CONFIG
+
+
+# sha256 of `knowmap embed --topology T --nodes 9 --dim 5 --seed 3 --rounds R`.
+# A uniform load gives every node the same row, so ring and line agree; by
+# round 5 the full topology's dense neighbour sum has rounded differently.
+EMBED_9_SHA256 = {
+    1: "077b7259bc5731636749c3ae673b719e1bf32dd8e184f098a59669adeef63aa3",
+    2: "562675a06bfdba50f3ef53b27b38eef7bd4815636a3e53cfec32ef65115ccafb",
+    5: "d9e2a0b7729dcc5bfeae09ddc12e18ecdbe9fba1f36e435d8dba335412965ce2",
+}
+EMBED_9_FULL_5_SHA256 = "0537a59c8070e17448370753f57599c635770055b99b80f005418d3521918134"
+
+
+@pytest.mark.parametrize("rounds", sorted(EMBED_9_SHA256))
+@pytest.mark.parametrize("topology", ["ring", "full", "line"])
+def test_embed_csv_is_pinned(tmp_path, topology, rounds):
+    path = tmp_path / "emb.csv"
+    argv = ["embed", "--topology", topology, "--nodes", "9", "--dim", "5", "--seed", "3"]
+    assert main(argv + ["--rounds", str(rounds), "--out", str(path)]) == EXIT_OK
+    expected = EMBED_9_SHA256[rounds]
+    if topology == "full" and rounds == 5:
+        expected = EMBED_9_FULL_5_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_embed_last_round_is_the_drift_baseline_map(tmp_path):
+    # with no fluctuation the drift baseline is embed's uniform load, and at
+    # tolerance 0 it settles through every round: the same rows, byte for byte
+    path = tmp_path / "emb.csv"
+    shape = ["--topology", "line", "--nodes", "7", "--rounds", "4"]
+    assert main(["embed", *shape, "--out", str(path)]) == EXIT_OK
+    drift = ["drift", *shape, "--fluctuation", "0", "--tolerance", "0"]
+    assert main([*drift, "--out", str(tmp_path / "drift")]) == EXIT_OK
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    baseline = (tmp_path / "drift" / "embeddings_baseline.csv").read_bytes()
+    assert rows[-7:] != rows[:7]
+    assert header + b"".join(rows[-7:]) == baseline
 
 
 def test_plot_round_trips_a_projection(tmp_path):

@@ -14,6 +14,7 @@ from knowmap.drift import (
     TrajectoryMetrics,
     export_result,
     run_drift,
+    settle,
     trajectory_metrics,
     write_metrics_json,
     write_projection_csv,
@@ -30,7 +31,8 @@ from knowmap.errors import (
     TooFewStepsError,
     UnknownNodeError,
 )
-from knowmap.graph import TopologyKind
+from knowmap.embedding import init_layers
+from knowmap.graph import TopologyKind, build_topology
 from knowmap.sharing import SharingConfig
 
 
@@ -80,6 +82,17 @@ def test_metrics_input_validation():
         trajectory_metrics([40, 40, 60], [1.0, 2.0, 3.0], 50)
 
 
+def test_config_validates_dimension_rounds_and_seed():
+    for bad in (0, -1, 2.0, True, "2"):
+        with pytest.raises(InvalidSizeError, match="dimension must be an integer >= 1"):
+            DriftConfig(dimension=bad)
+        with pytest.raises(InvalidSizeError, match="rounds must be an integer >= 1"):
+            DriftConfig(rounds=bad)
+    assert DriftConfig(dimension=np.int64(3), rounds=np.int32(2)).rounds == 2
+    with pytest.raises(InvalidSeedError):
+        DriftConfig(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DriftConfig(baseline_workload=55)
@@ -112,8 +125,9 @@ def test_config_validation():
         lambda: DriftConfig(sweep=()),
         lambda: DriftConfig(sweep=(50, 40)),
         lambda: SharingConfig(tolerance=-1.0),
+        lambda: trajectory_metrics([40, 40, 60], [1.0, 2.0, 3.0], 50),
     ],
-    ids=["baseline-55", "empty-sweep", "falling-sweep", "negative-tolerance"],
+    ids=["baseline-55", "empty-sweep", "falling-sweep", "negative-tolerance", "repeated-workloads"],
 )
 def test_config_range_errors_are_typed(build):
     # a KnowmapError, and still the ValueError older callers catch
@@ -430,3 +444,19 @@ def test_numpy_integer_workloads_export_like_python_ints(tmp_path):
     for left, right in zip(first, second, strict=True):
         assert left.name == right.name
         assert left.read_bytes() == right.read_bytes(), left.name
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-3])
+def test_settle_history_holds_every_round(tolerance):
+    # one entry per round, the input round first; the last is the settled map
+    graph = build_topology(TopologyKind.LINE, 7)
+    features = np.random.default_rng(4).uniform(0.1, 1.0, (7, 3))
+    layers = init_layers(4, 9)
+    history = []
+    kmap = settle(graph, features, layers, SharingConfig(max_rounds=9, tolerance=tolerance), history)
+    assert len(history) == kmap.rounds_used
+    assert history[-1].tobytes() == kmap.states.tobytes()
+    if tolerance == 0.0:
+        assert kmap.rounds_used == 10 and not kmap.converged
+    else:
+        assert 1 < kmap.rounds_used < 10 and kmap.converged

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from knowmap.drift import settle
 from knowmap.embedding import (
-    EmbeddingConfig,
     Layer,
     aggregate,
     embedding_round,
-    embedding_rounds,
     init_layer,
     init_layers,
     write_embedding_csv,
@@ -20,11 +19,11 @@ from knowmap.embedding import (
 from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
-    InvalidSeedError,
     InvalidSizeError,
     ZeroVectorError,
 )
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
+from knowmap.sharing import SharingConfig
 
 vectors3 = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -48,6 +47,14 @@ def underflow_layer(k=2):
     return Layer(self_weights=-1e3 * np.eye(k), neighbor_weights=np.zeros((k, k)))
 
 
+def settle_rounds(graph, features, dimension, rounds, seed):
+    """Per-round (n x d) states of a tolerance-0 settle; index 0 is round 1."""
+    history = []
+    layers = init_layers(dimension, seed)
+    settle(graph, features, layers, SharingConfig(max_rounds=rounds - 1, tolerance=0.0), history)
+    return history
+
+
 def test_layer_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         Layer(self_weights=np.eye(2), neighbor_weights=np.zeros((3, 2)))
@@ -65,8 +72,9 @@ def test_init_layer_bound_and_shape():
 def test_init_layer_degenerate_shape():
     layer = init_layer(1, 1, [0, 0])
     assert layer.self_weights.shape == (1, 1)
-    with pytest.raises(ValueError):
-        init_layer(0, 1, [0, 0])
+    for in_dim, out_dim in ((0, 1), (1, 0), (2.0, 1)):
+        with pytest.raises(InvalidSizeError, match="dim must be an integer >= 1"):
+            init_layer(in_dim, out_dim, [0, 0])
 
 
 def test_init_layer_is_seed_deterministic():
@@ -79,21 +87,9 @@ def test_init_layer_is_seed_deterministic():
 
 
 def test_init_layers_shapes():
-    config = EmbeddingConfig(dimension=6, rounds=2, weight_seed=5)
-    input_layer, hidden_layer = init_layers(config, in_dim=3)
+    input_layer, hidden_layer = init_layers(6, 5, in_dim=3)
     assert input_layer.self_weights.shape == (6, 3)
     assert hidden_layer.self_weights.shape == (6, 6)
-
-
-def test_embedding_config_validation():
-    for bad in (0, -1, 2.0, True, "2"):
-        with pytest.raises(InvalidSizeError, match="dimension must be an integer >= 1"):
-            EmbeddingConfig(dimension=bad)
-        with pytest.raises(InvalidSizeError, match="rounds must be an integer >= 1"):
-            EmbeddingConfig(rounds=bad)
-    assert EmbeddingConfig(dimension=np.int64(3), rounds=np.int32(2)).rounds == 2
-    with pytest.raises(InvalidSeedError):
-        EmbeddingConfig(weight_seed=-1)
 
 
 def test_aggregate_is_the_mean():
@@ -209,9 +205,8 @@ def test_embedding_round_is_synchronous():
     # every node reads the pre-round states: one round over a matrix equals
     # the per-node formula applied to the unchanged input
     graph, states = ring_states()
-    config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=2)
-    (forward,) = embedding_rounds(graph, states, config)
-    input_layer, _ = init_layers(config)
+    (forward,) = settle_rounds(graph, states, dimension=3, rounds=1, seed=2)
+    input_layer, _ = init_layers(3, 2)
     row = {v: states[i] for i, v in enumerate(graph.node_ids)}
     for i, v in enumerate(graph.node_ids):
         k = int(v.split("-")[1])  # ring-4 neighbours k-1 and k+1, wrapping
@@ -223,13 +218,12 @@ def test_embedding_round_is_synchronous():
 def test_embedding_round_requires_matching_nodes():
     graph, states = ring_states()
     with pytest.raises(DimensionMismatchError):
-        embedding_rounds(graph, states[1:], EmbeddingConfig(dimension=3))
+        settle_rounds(graph, states[1:], dimension=3, rounds=2, seed=7)
 
 
 def test_embed_graph_output_is_unit_norm():
     graph, states = ring_states(n=5)
-    config = EmbeddingConfig(dimension=4, rounds=3, weight_seed=1)
-    snapshots = embedding_rounds(graph, states, config)
+    snapshots = settle_rounds(graph, states, dimension=4, rounds=3, seed=1)
     assert len(snapshots) == 3
     assert snapshots[-1].shape == (5, 4)
     for row in snapshots[-1]:
@@ -240,7 +234,7 @@ def test_identical_features_embed_identically_on_a_regular_graph():
     # full graph symmetry: every node sees the same self and neighborhood
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 5)
     features = np.tile([0.5, 0.5, 1.0], (5, 1))
-    result = embedding_rounds(graph, features, EmbeddingConfig(dimension=4, weight_seed=2))[-1]
+    result = settle_rounds(graph, features, dimension=4, rounds=2, seed=2)[-1]
     reference = result[0]
     for row in result:
         assert reference.tobytes() == row.tobytes()
@@ -264,7 +258,7 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
         degree=graph.degree[perm],
     )
     states = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3))
-    layer, _ = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
+    layer, _ = init_layers(4, seed)
     expected = embedding_round(graph, states, layer)[perm]
     got = embedding_round(relabelled, states[perm], layer)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
@@ -277,7 +271,7 @@ def test_embedding_round_is_relabelling_equivariant(kind, n, seed, data):
 )
 def test_uniform_input_stays_uniform_on_the_full_topology(n, seed, row):
     graph = build_topology(TopologyKind.FULLY_CONNECTED, n)
-    input_layer, hidden_layer = init_layers(EmbeddingConfig(dimension=4, weight_seed=seed))
+    input_layer, hidden_layer = init_layers(4, seed)
     states = np.tile(row, (n, 1))
     for layer in (input_layer, hidden_layer, hidden_layer):
         states = embedding_round(graph, states, layer)
@@ -341,12 +335,11 @@ def test_receptive_field_is_bit_exact_on_the_dense_branch():
     base = np.random.default_rng(5).uniform(0.1, 1.0, (16, 3))
     target = graph.node_ids.index("a1")
     for rounds in (1, 2, 3):
-        config = EmbeddingConfig(dimension=4, rounds=rounds, weight_seed=8)
-        reference = embedding_rounds(graph, base, config)[-1][target]
+        reference = settle_rounds(graph, base, 4, rounds, seed=8)[-1][target]
         for node_id, distance in hops.items():
             perturbed = base.copy()
             perturbed[graph.node_ids.index(node_id)] += 0.5
-            moved = embedding_rounds(graph, perturbed, config)[-1][target]
+            moved = settle_rounds(graph, perturbed, 4, rounds, seed=8)[-1][target]
             if distance <= rounds:
                 assert not np.array_equal(moved, reference), (rounds, node_id)
             else:
@@ -355,25 +348,22 @@ def test_receptive_field_is_bit_exact_on_the_dense_branch():
 
 def test_single_isolated_node_is_its_own_context():
     graph = KnowledgeGraph.from_links(["solo"], [])
-    config = EmbeddingConfig(dimension=3, rounds=1, weight_seed=4)
-    (result,) = embedding_rounds(graph, np.array([[0.2, 0.8, 1.0]]), config)
-    input_layer, _ = init_layers(config)
+    (result,) = settle_rounds(graph, np.array([[0.2, 0.8, 1.0]]), dimension=3, rounds=1, seed=4)
+    input_layer, _ = init_layers(3, 4)
     direct = unit_sigmoid(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))
     assert np.allclose(result[0], direct, rtol=0, atol=1e-15)
 
 
 def test_embed_graph_rejects_bad_inputs():
     graph, states = ring_states()
-    config = EmbeddingConfig(dimension=4)
     for bad in (np.zeros((0, 3)), np.zeros((4, 0)), states[0], states[None]):
         with pytest.raises(DimensionMismatchError):
-            embedding_rounds(graph, bad, config)
+            settle_rounds(graph, bad, dimension=4, rounds=2, seed=7)
 
 
 def test_embedding_csv_round_trip(tmp_path):
     graph, states = ring_states(n=3)
-    config = EmbeddingConfig(dimension=2, rounds=2, weight_seed=4)
-    snapshots = embedding_rounds(graph, states, config)
+    snapshots = settle_rounds(graph, states, dimension=2, rounds=2, seed=4)
     path = tmp_path / "emb.csv"
     write_embedding_csv(path, graph.node_ids, snapshots)
     with open(path, newline="") as handle:

@@ -5,12 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from knowmap.embedding import (
-    EmbeddingConfig,
-    Layer,
-    embedding_round,
-    init_layers,
-)
+from knowmap.embedding import Layer, embedding_round, init_layers
 from knowmap.errors import (
     EmptyInputError,
     InvalidSizeError,
@@ -31,8 +26,7 @@ from knowmap.sharing import (
 
 def ring_setup(n=5, dim=4, seed=3):
     graph = build_topology(TopologyKind.RING, n)
-    config = EmbeddingConfig(dimension=dim, weight_seed=seed)
-    input_layer, hidden_layer = init_layers(config)
+    input_layer, hidden_layer = init_layers(dim, seed)
     raw = np.random.default_rng(0).uniform(0.1, 1.0, (n, 3))
     states = embedding_round(graph, raw, input_layer)
     return graph, states, hidden_layer
@@ -106,8 +100,7 @@ def test_uniform_features_collapse_is_avoided_by_normalization():
     # identical inputs give identical (not zero) embeddings on a regular graph
     graph = build_topology(TopologyKind.RING, 5)
     vectors = np.array([feature_vector(features_at(50))] * 5)
-    config = EmbeddingConfig(dimension=4, weight_seed=2)
-    input_layer, hidden_layer = init_layers(config)
+    input_layer, hidden_layer = init_layers(4, 2)
     states = embedding_round(graph, vectors, input_layer)
     result = run_sharing(graph, states, hidden_layer)
     reference = result.states[graph.node_ids.index("node-0")]
@@ -172,7 +165,7 @@ def test_information_spreads_one_hop_per_round():
     # a single divergent node on a line contaminates exactly one extra
     # neighbour per synchronous round; everything farther is bit-identical
     graph = build_topology(TopologyKind.LINE, 7)
-    _, hidden_layer = init_layers(EmbeddingConfig(weight_seed=5))
+    _, hidden_layer = init_layers(8, 5)
     dim = hidden_layer.out_dim
     base = np.linspace(0.2, 0.9, dim)
     odd = np.linspace(0.9, 0.2, dim)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import knowmap
 from knowmap.drift import DriftConfig, run_drift
+from knowmap.errors import DimensionMismatchError, EmptyInputError
 from knowmap.graph import TopologyKind
 from knowmap.svgplot import escape, render_scatter, workload_color, write_drift_svg
 
@@ -94,9 +95,9 @@ def test_a_drift_export_imports_no_url_mail_or_sax_modules(tmp_path):
 
 
 def test_render_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         render_scatter(["a"], [50, 60], [[0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyInputError):
         render_scatter([], [], [])
 
 
