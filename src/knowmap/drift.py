@@ -22,9 +22,10 @@ from .embedding import (
     DEFAULT_ROUNDS,
     Layer,
     aggregate,
-    csv_field,
+    csv_fields,
     embedding_round,
     init_layers,
+    write_csv,
 )
 from .errors import (
     DegenerateInputError,
@@ -178,20 +179,22 @@ def settle(
 ) -> KnowledgeMap:
     """Settle one feature assignment: the input round, then the sharing rounds.
 
-    layers is the (input, hidden) pair of init_layers; rounds_used counts the
-    input round too.  Given a history list, the states after every round,
-    input round first, are appended to it.
+    layers is the (input, hidden) pair of init_layers; rounds_used and the
+    round numbers in errors count the input round as round 1.  Given a
+    history list, the states after every round, input round first, are
+    appended to it.
     """
     input_layer, hidden_layer = layers
     first = embedding_round(graph, features, input_layer)
     if history is not None:
         history.append(first)
-    shared = run_sharing(graph, first, hidden_layer, config, history)
+    shared = run_sharing(graph, first, hidden_layer, config, history, first_round=2)
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
 def run_drift(config: DriftConfig) -> DriftResult:
     """Run the full drift experiment described by config."""
+    check_count("dimension", config.dimension, 2)  # the projection has two axes
     graph = build_topology(config.topology, config.nodes)
     target = config.target if config.target is not None else node_name(0)
     if target not in graph.node_ids:
@@ -289,15 +292,9 @@ def write_projection_csv(path: str | Path, result: DriftResult) -> None:
     Baseline rows come first in node order, then the target trajectory in
     sweep order, matching the row order the projection was fitted on.
     """
-    rows = zip(
-        result.projection_labels, result.projection_workloads, result.projection.tolist()
-    )
-    with open(path, "w", newline="") as handle:
-        handle.write("label,workload_pct,x,y\r\n")
-        handle.writelines(
-            "%s,%d,%.17g,%.17g\r\n" % (csv_field(label), workload, x, y)
-            for label, workload, (x, y) in rows
-        )
+    labels = csv_fields(result.projection_labels)
+    fields = ["%s,%d" % row for row in zip(labels, result.projection_workloads)]
+    write_csv(path, "label,workload_pct,x,y", fields, [(b",", result.projection)])
 
 
 def export_result(result: DriftResult, directory: str | Path) -> list[Path]:

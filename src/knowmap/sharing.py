@@ -60,19 +60,21 @@ def run_sharing(
     layer: Layer,
     config: SharingConfig = SharingConfig(),
     history: list[np.ndarray] | None = None,
+    first_round: int = 1,
 ) -> KnowledgeMap:
     """Repeat sharing rounds until movement drops below tolerance.
 
     Rounds are synchronous: all nodes update from the same pre-round
     snapshot, so the result is independent of node iteration order.
     states holds one row per node in graph.node_ids order.  Given a history
-    list, each round's states are appended to it.
+    list, each round's states are appended to it.  Errors number the rounds
+    from first_round.
     """
     current = np.asarray(states, dtype=float)
     rounds_used, converged, final_delta = 0, False, 0.0
     while rounds_used < config.max_rounds and not converged:
         rounds_used += 1
-        updated = embedding_round(graph, current, layer, rounds_used)
+        updated = embedding_round(graph, current, layer, first_round + rounds_used - 1)
         final_delta = states_delta(current, updated)
         current = updated
         if history is not None:

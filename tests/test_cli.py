@@ -119,6 +119,17 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_drift_rejects_dimension_1_before_any_settle(tmp_path, capsys):
+    out = tmp_path / "drift"
+    assert main(["drift", "--dim", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert "dimension must be an integer >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    # embed has no projection, so one column is fine there
+    path = tmp_path / "emb.csv"
+    assert main(["embed", "--dim", "1", "--out", str(path)]) == EXIT_OK
+    assert path.read_text().splitlines()[0] == "node_id,round,e0"
+
+
 def test_drift_rejects_unknown_target(tmp_path):
     code = main(["drift", "--nodes", "5", "--target", "node-99", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -314,3 +325,50 @@ def test_python_dash_m_knowmap_runs_the_cli(tmp_path):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert all((tmp_path / name).is_file() for name in DRIFT_FILES)
+
+
+# Digests of `knowmap drift --nodes 12` plus the flags below, taken from the
+# per-row CSV writers before csv_rows: sha256 of the "name sha256" lines of
+# every file written, then of projection.csv alone.  Every default run has
+# negative and sub-1e-4 projection values; ring-deep has only sub-1e-4 ones.
+DRIFT_12_SHA256 = {
+    "ring": (
+        "aeae5051c67ecfb088335c49ee629e599b40d52515558ad70026e55da953245d",
+        "a0fae16c0824484f1585ab41c900605212eeda1eb71588c45886df8150aecd9c",
+    ),
+    "full": (
+        "57252bb556a3be76e9c6b1a5999c769e0e100684bf38098ce0233d63a0869d20",
+        "5b481999b97a125f7da02cf8768a76658236e8eefd25e6ccf0efa635094d9034",
+    ),
+    "line": (
+        "91db9e37721507be7c5bd33eb968672f988eac94f8d6c72373a88f2d85184094",
+        "6ef9759d5d79538e8abf5ade676b561edb1a79c53c8196b00f78cefaec915491",
+    ),
+    "ring-deep": (
+        "108a5c25eccd85796970415d27f30ae26ceeeae445dad392e6b1c7586bd0ee6b",
+        "9199806fe98e91d3146395c71348de673ce0193124c83995b8243e9336f6a356",
+    ),
+    "ring-dim3": (
+        "b2debac7e696b25a17bff039442dda610471deea6cfad7d7d9026f37bf0c4f0a",
+        "e4694711fb766ef63154da744be33b154fcd15eb3c3002e442272a8210e5d74c",
+    ),
+}
+DRIFT_12_FLAGS = {
+    "ring": [],
+    "full": ["--topology", "full"],
+    "line": ["--topology", "line"],
+    "ring-deep": ["--rounds", "50", "--tolerance", "0"],
+    "ring-dim3": ["--dim", "3", "--seed", "7", "--fluctuation", "0.05"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_12_SHA256))
+def test_drift_artifacts_are_pinned(tmp_path, case):
+    argv = ["drift", "--nodes", "12", *DRIFT_12_FLAGS[case], "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = "".join(f"{p.name} {digest(p)}\n" for p in sorted(tmp_path.iterdir()))
+    assert len(list(tmp_path.iterdir())) == 16
+    assert (hashlib.sha256(lines.encode()).hexdigest(), digest(tmp_path / PROJECTION_FILE)) == (
+        DRIFT_12_SHA256[case]
+    ), lines

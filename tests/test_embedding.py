@@ -1,19 +1,26 @@
 """Embedding layer and graph-embedding tests."""
 
 import csv
+import dataclasses
 import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from knowmap.drift import settle
+from knowmap.drift import DriftConfig, run_drift, settle, write_projection_csv
 from knowmap.embedding import (
+    CSV_CHUNK_ROWS,
     Layer,
     aggregate,
+    csv_field,
+    csv_rows,
     embedding_round,
     init_layer,
     init_layers,
+    text_block,
     write_embedding_csv,
 )
 from knowmap.errors import (
@@ -392,3 +399,151 @@ def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
 def test_embedding_csv_rejects_empty(tmp_path):
     with pytest.raises(EmptyInputError):
         write_embedding_csv(tmp_path / "x.csv", [], [])
+
+
+def test_embedding_csv_rejects_mismatched_snapshots_before_opening(tmp_path):
+    ids = ["a", "b", "c"]
+    path = tmp_path / "x.csv"
+    cases = (
+        [np.zeros((2, 4))],  # a row short
+        [np.zeros((3, 4)), np.zeros((4, 4))],  # a row too many in round 2
+        [np.zeros((3, 4)), np.zeros((3, 5))],  # a wider round 2
+        [np.zeros(3)],
+        [np.zeros((3, 0))],
+    )
+    for snapshots in cases:
+        with pytest.raises(DimensionMismatchError, match="states have shape"):
+            write_embedding_csv(path, ids, snapshots)
+        assert not path.exists()
+
+
+def python_rows(rows):
+    """What csv_rows must equal: Python's "%.17g" of every value, rows ended by CRLF."""
+    return b"".join((",".join("%.17g" % v for v in row) + "\r\n").encode() for row in rows)
+
+
+def bare_rows(values):
+    """csv_rows of values with an empty field and middle."""
+    values = np.asarray(values, dtype=np.float64)
+    return csv_rows(text_block([""] * len(values), "ascii"), b"", values).tobytes()
+
+
+fixed_notation = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+any_float = st.one_of(st.floats(), fixed_notation, fixed_notation.map(lambda v: -v))
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda c: st.lists(st.lists(any_float, min_size=c, max_size=c), min_size=1, max_size=6)
+    )
+)
+@example([[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]])
+@example([[1e-4, 0.1, 0.5, 1.0, 123.5, -0.25, 9999999999999998.0, 1e22, 2.0**-25]])
+def test_csv_rows_match_python_17g(rows):
+    assert bare_rows(rows) == python_rows(rows)
+
+
+def test_csv_rows_round_17_digit_ties_half_to_even():
+    # m / 2**e with m odd is exact in m * 5**e / 10**e; with 18 digits in
+    # m * 5**e the 18th is a 5 and nothing follows, a tie at 17 digits
+    ties, seventeenth = [], set()
+    for e in range(2, 26):
+        low = -(-(10**17) // 5**e) | 1
+        for m in range(low, min(10**18 // 5**e, 2**53), 2)[:400]:
+            digits = str(m * 5**e)
+            assert len(digits) == 18 and digits[-1] == "5"
+            ties.append(m / 2**e)
+            if 1e-4 <= ties[-1] < 1e16:
+                seventeenth.add(int(digits[16]) % 2)
+    ties = np.array(ties)
+    assert ((ties >= 1e-4) & (ties < 1e16)).sum() > 3000 and 2.0**-25 in ties
+    assert seventeenth == {0, 1}  # ties round down to an even digit and up from an odd one
+    ties = np.concatenate([ties, -ties])
+    rows = ties[: len(ties) // 8 * 8].reshape(-1, 8)
+    assert bare_rows(rows) == python_rows(rows.tolist())
+
+
+def test_csv_rows_at_powers_of_ten_and_the_fixed_notation_edges():
+    # log10 of a double just below a power of ten rounds up to it, so the
+    # first exponent estimate is one too high there
+    powers = np.array([10.0**j for j in range(-6, 18)] + [1e-4, 1e16])
+    values = np.concatenate(
+        [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), [9.99999999999999999e-5]]
+    )
+    values = np.concatenate([values, -values])
+    rows = values.reshape(-1, 2)
+    assert bare_rows(rows) == python_rows(rows.tolist())
+
+
+def per_row_embedding_csv(path, node_ids, snapshots, first_round=1):
+    """write_embedding_csv as it was before csv_rows: one "%" format per row."""
+    dimension = snapshots[0].shape[1]
+    header = ["node_id", "round"] + [f"e{i}" for i in range(dimension)]
+    row = "%s,%d," + ",".join(["%.17g"] * dimension) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for round_index, snapshot in enumerate(snapshots, start=first_round):
+            handle.writelines(
+                row % (csv_field(node_id), round_index, *values)
+                for node_id, values in zip(node_ids, snapshot.tolist(), strict=True)
+            )
+
+
+def per_row_projection_csv(path, labels, workloads, points):
+    """write_projection_csv as it was before csv_rows."""
+    with open(path, "w", newline="") as handle:
+        handle.write("label,workload_pct,x,y\r\n")
+        handle.writelines(
+            "%s,%d,%.17g,%.17g\r\n" % (csv_field(label), workload, x, y)
+            for label, workload, (x, y) in zip(labels, workloads, points.tolist())
+        )
+
+
+def awkward_values(rng, shape):
+    """Signed values from 1e-8 to 1e18, with zeros: both the numpy and the Python path."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 18, shape)
+    values[rng.random(shape) < 0.05] = 0.0
+    return values
+
+
+ODD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "", "nœud-é", "节点", "tab\there"]
+
+
+def test_embedding_csv_bytes_equal_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    n = CSV_CHUNK_ROWS + 90  # two chunks
+    ids = [ODD_IDS[i % len(ODD_IDS)] + str(i) for i in range(n)]
+    snapshots = [awkward_values(rng, (n, 3)) for _ in range(3)]
+    snapshots.append(rng.uniform(0.2, 0.5, (n, 3)))
+    write_embedding_csv(tmp_path / "new.csv", ids, snapshots, first_round=4)
+    per_row_embedding_csv(tmp_path / "old.csv", ids, snapshots, first_round=4)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_projection_csv_bytes_equal_the_per_row_writer(tmp_path):
+    result = run_drift(DriftConfig(topology=TopologyKind.RING, nodes=5))
+    rows = len(result.projection_labels)
+    rng = np.random.default_rng(6)
+    labels = [ODD_IDS[i % len(ODD_IDS)] for i in range(rows)]
+    workloads = list(range(rows))
+    for projection in (result.projection, awkward_values(rng, (rows, 2))):
+        changed = dataclasses.replace(
+            result, projection_labels=labels, projection_workloads=workloads, projection=projection
+        )
+        write_projection_csv(tmp_path / "new.csv", changed)
+        per_row_projection_csv(tmp_path / "old.csv", labels, workloads, projection)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_embedding_csv_memory_peak_at_3000_by_8(tmp_path):
+    # the per-row writer peaked at 0.93 MiB of traced heap here, most of it
+    # the snapshot as Python floats; the file itself is 0.5 MB
+    ids = [node_name(i) for i in range(3000)]
+    states = np.random.default_rng(7).uniform(0.2, 0.5, (3000, 8))
+    tracemalloc.start()
+    try:
+        write_embedding_csv(tmp_path / "big.csv", ids, [states])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.93 * 2**20

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from knowmap.drift import settle
 from knowmap.embedding import Layer, embedding_round, init_layers
 from knowmap.errors import (
     EmptyInputError,
@@ -193,6 +194,21 @@ def test_zero_row_error_names_the_sharing_round():
     zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
     with zero_row, np.errstate(over="ignore"):
         run_sharing(graph, states, layer, SharingConfig(5, 0.0))
+
+
+def test_settle_names_its_first_sharing_round_round_2():
+    # the input round (identity, no neighbour term) keeps both rows
+    # positive; the sharing layer above then zeroes them in the settle's
+    # round 2, the round rounds_used and knowmap embed would call 2
+    graph = build_topology(TopologyKind.LINE, 2)
+    input_layer = Layer(np.eye(2), np.zeros((2, 2)))
+    layer = Layer(-1e3 * np.ones((2, 2)), np.zeros((2, 2)))
+    features = np.array([[1.0, -1.0], [1.0, -1.0]])
+    history = []
+    zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
+    with zero_row, np.errstate(over="ignore"):
+        settle(graph, features, (input_layer, layer), SharingConfig(5, 0.0), history)
+    assert len(history) == 1 and (history[0] > 0).all()
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):
