@@ -215,7 +215,7 @@ def csv_rows(
     """
     values = np.asarray(values, dtype=np.float64)
     rows, columns = values.shape
-    slots, start, end = _format_17g(values.ravel())
+    slots, spans = _format_17g(values.ravel())
     slots[:, _SLOT - 1] = ord(",")
     slots.reshape(rows, columns, _SLOT)[:, -1:, -1] = ord("\r")
     field_block, lengths = fields
@@ -229,13 +229,14 @@ def csv_rows(
     del slots
     keep = np.ones(block.shape, dtype=bool)
     keep[:, :width] = np.arange(width) < lengths[:, None]
-    keep[:, head:-1] = np.take(_SLOT_KEEP, start * _SLOT + end, axis=0).reshape(rows, -1)
-    del start, end
+    keep[:, head:-1] = np.take(_SLOT_KEEP, spans, axis=0).reshape(rows, -1)
     return block[keep]
 
 
-def _format_17g(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """"%.17g" % v of every v as slots[i, start[i]:end[i]]; column 24 is left free.
+def _format_17g(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """"%.17g" % v of every v as slots[i, start:end], with spans[i] = 25 * start + end.
+
+    Column 24 of a slot is left free for the separator.
 
     A finite value with 1e-4 <= |v| < 1e16, which %g writes in fixed
     notation, is formatted over arrays.  Its slot holds 7 pad zeros, then its
@@ -278,7 +279,7 @@ def _format_17g(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         texts, lengths = text_block(["%.17g" % v for v in flat[slow].tolist()], "ascii")
         slots[slow, : texts.shape[1]] = texts
         start[slow], end[slow] = 0, lengths
-    return slots, start, end
+    return slots, start * _SLOT + end
 
 
 def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
