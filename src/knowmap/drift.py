@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -28,16 +28,15 @@ from .embedding import (
     write_csv,
 )
 from .errors import (
-    DegenerateInputError,
     DimensionMismatchError,
     InvalidConfigError,
-    MagnitudeOutOfRangeError,
     TooFewStepsError,
     UnknownNodeError,
 )
 from .features import (
     DEFAULT_MAGNITUDE,
     apply_fluctuation,
+    check_magnitude,
     check_seed,
     check_workload,
     feature_vector,
@@ -63,10 +62,12 @@ from .sharing import (
     write_knowledge_map_json,
 )
 
-DEFAULT_SWEEP = tuple(range(0, 101, 10))
+SWEEP = tuple(range(0, 101, 10))  # the paper's decade grid; every run sweeps all of it
 DEFAULT_BASELINE = 50
 DEFAULT_SEED = 42
 MONOTONE_TOLERANCE = 1e-9
+MAX_DIMENSION = 1024  # widest embedding DriftConfig accepts: 8 MiB a hidden layer
+MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round
 
 METRICS_FILE = "metrics.json"
 PROJECTION_FILE = "projection.csv"
@@ -83,7 +84,7 @@ class DriftConfig:
     seed: int = DEFAULT_SEED
     target: str | None = None
     baseline_workload: int = DEFAULT_BASELINE
-    sweep: tuple[int, ...] = DEFAULT_SWEEP
+    sweep: ClassVar[tuple[int, ...]] = SWEEP
     dimension: int = DEFAULT_DIMENSION
     rounds: int = DEFAULT_ROUNDS
     sharing_tolerance: float = DEFAULT_TOLERANCE
@@ -92,18 +93,9 @@ class DriftConfig:
     def __post_init__(self) -> None:
         check_topology(self.topology, self.nodes, "nodes")
         check_workload(self.baseline_workload)
-        if len(self.sweep) == 0:
-            raise InvalidConfigError("sweep must contain at least one workload")
-        for w in self.sweep:
-            check_workload(w)
-        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
-            raise InvalidConfigError(f"sweep must be strictly increasing, got {self.sweep}")
-        if not 0.0 <= self.fluctuation < 0.1:
-            raise MagnitudeOutOfRangeError(
-                f"fluctuation magnitude must be in [0, 0.1), got {self.fluctuation}"
-            )
-        check_count("dimension", self.dimension, 1)
-        check_count("rounds", self.rounds, 1)
+        check_magnitude(self.fluctuation)
+        check_count("dimension", self.dimension, 1, MAX_DIMENSION)
+        check_count("rounds", self.rounds, 1, MAX_ROUNDS)
         check_seed(self.seed)  # also the seed of the layer weights
         self.sharing_config()  # validates the tolerance
 
@@ -231,24 +223,8 @@ def run_drift(config: DriftConfig) -> DriftResult:
     labels += [f"target:{target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
     rows = np.vstack([baseline_map.states, *target_rows])
-    try:
-        model = fit_pca(rows, components=2)
-        projection = transform(model, rows)
-    except DegenerateInputError:
-        # A sweep with no variation projects every row to the origin.
-        projection = np.zeros((rows.shape[0], 2))
-
-    if len(config.sweep) >= 3:
-        metrics = trajectory_metrics(
-            config.sweep, centroid_distances, config.baseline_workload
-        )
-    else:
-        best = int(np.argmin(centroid_distances))
-        metrics = TrajectoryMetrics(
-            min_distance_workload=int(config.sweep[best]),
-            left_monotone=True,
-            right_monotone=True,
-        )
+    projection = transform(fit_pca(rows, components=2), rows)  # SWEEP's 0 and 100 keep rows apart
+    metrics = trajectory_metrics(config.sweep, centroid_distances, config.baseline_workload)
 
     return DriftResult(
         config=config,
@@ -270,7 +246,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
         "topology": result.config.topology.value,
         "n": int(result.config.nodes),
         "target": result.target,
-        "sweep": [int(w) for w in result.config.sweep],
+        "sweep": list(result.config.sweep),
         "centroid_distance": [float(d) for d in result.centroid_distances],
         "min_distance_workload": result.metrics.min_distance_workload,
         "left_monotone": result.metrics.left_monotone,

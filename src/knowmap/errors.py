@@ -30,7 +30,7 @@ class InvalidTopologyError(KnowmapError):
 
 
 class InvalidConfigError(KnowmapError, ValueError):
-    """A workload, sweep or tolerance is out of range; still a ValueError to older callers."""
+    """A workload or tolerance is out of range; still a ValueError to older callers."""
 
 
 class MagnitudeOutOfRangeError(KnowmapError):

@@ -50,6 +50,13 @@ def check_workload(value: int) -> int:
     return value
 
 
+def check_magnitude(value: float) -> float:
+    """Validate a fluctuation magnitude: within [0, 0.1), so NaN fails too."""
+    if not 0.0 <= value < 0.1:
+        raise MagnitudeOutOfRangeError(f"fluctuation magnitude must be in [0, 0.1), got {value}")
+    return value
+
+
 def check_seed(value: int) -> int:
     """Validate a seed: a non-negative integer, as numpy's SeedSequence takes it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -124,10 +131,7 @@ def fluctuation_draws(
     magnitude, size=2)``: numpy's seeding and PCG64 generator are replayed
     here over arrays, one pass for every key of the same entropy length.
     """
-    if not 0.0 <= magnitude < 0.1:
-        raise MagnitudeOutOfRangeError(
-            f"fluctuation magnitude must be in [0, 0.1), got {magnitude}"
-        )
+    check_magnitude(magnitude)
     keys = np.asarray(keys, dtype=np.uint64)
     head, tail = _words(seed) + [_FLUCTUATION_STREAM], _words(step)
     key_words = np.stack([keys & _MASK32, keys >> 32]).astype(np.uint32)

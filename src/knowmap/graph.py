@@ -39,10 +39,12 @@ class TopologyKind(Enum):
     LINE = "line"
 
 
-def check_count(name: str, value: int, minimum: int) -> None:
-    """Validate a size or round count: an integer, not a bool, of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidSizeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_count(name: str, value: int, minimum: int, maximum: int | None = None) -> None:
+    """Validate a size or round count: an integer, not a bool, in [minimum, maximum]."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < minimum or (maximum is not None and value > maximum):
+        upper = "" if maximum is None else f" and <= {maximum}"
+        raise InvalidSizeError(f"{name} must be an integer >= {minimum}{upper}, got {value!r}")
 
 
 def check_topology(kind: TopologyKind, n: int, name: str | None = None) -> None:
@@ -66,7 +68,7 @@ class KnowledgeGraph:
 
     @classmethod
     def from_links(cls, names: Sequence[str], links: Any) -> KnowledgeGraph:
-        """Graph on names whose undirected links are (m, 2) positions into names."""
+        """Graph on names whose undirected links are (m, 2) integer positions into names."""
         n = len(names)
         if not all(names):
             raise UnknownNodeError("node id must be a non-empty string")
@@ -75,7 +77,10 @@ class KnowledgeGraph:
         for a, b in zip(node_ids, node_ids[1:]):
             if a == b:
                 raise DuplicateNodeError(f"node {a!r} already exists")
-        links = np.asarray(links, dtype=np.intp).reshape(len(links), 2)
+        links = np.asarray(links)
+        if links.size and not np.issubdtype(links.dtype, np.integer):  # bool is not integer
+            raise MissingEndpointError(f"link endpoints must be integers, got dtype {links.dtype}")
+        links = links.astype(np.intp, copy=False).reshape(len(links), 2)
         if links.size and (links.min() < 0 or links.max() >= n):
             raise MissingEndpointError(f"link endpoints must be positions in [0, {n})")
         rank = np.empty(n, dtype=np.intp)

@@ -1,5 +1,6 @@
 """Drift experiment harness tests: protocol, metrics, and exports."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from knowmap.drift import (
-    DEFAULT_SWEEP,
+    MAX_DIMENSION,
+    MAX_ROUNDS,
     METRICS_FILE,
+    SWEEP,
     DriftConfig,
     TrajectoryMetrics,
     export_result,
@@ -37,7 +40,12 @@ from knowmap.sharing import SharingConfig
 
 
 def test_default_sweep_covers_the_decade_grid():
-    assert DEFAULT_SWEEP == (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+    assert SWEEP == (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+    # the sweep is fixed: every config reads it, and none can set it
+    assert DriftConfig.sweep == DriftConfig(nodes=5).sweep == SWEEP
+    assert len(dataclasses.fields(DriftConfig)) == 9
+    with pytest.raises(TypeError):
+        DriftConfig(sweep=(0, 50, 100))
 
 
 def test_metrics_clean_u_shape():
@@ -96,17 +104,8 @@ def test_config_validates_dimension_rounds_and_seed():
 def test_config_validation():
     with pytest.raises(ValueError):
         DriftConfig(baseline_workload=55)
-    with pytest.raises(ValueError):
-        DriftConfig(sweep=())
-    with pytest.raises(ValueError):
-        DriftConfig(sweep=(0, 25, 50))
-    with pytest.raises(ValueError):
-        DriftConfig(sweep=(50, 40))
     with pytest.raises(MagnitudeOutOfRangeError):
         DriftConfig(fluctuation=0.1)
-    for bad in ((0.0, 50.0, 100.0), (False, 50, 100), (0, 50.0, 100)):
-        with pytest.raises(ValueError, match="integer multiple of 10"):
-            DriftConfig(nodes=5, sweep=bad)
     for bad in (True, 50.0):
         with pytest.raises(ValueError, match="integer multiple of 10"):
             DriftConfig(baseline_workload=bad)
@@ -122,12 +121,10 @@ def test_config_validation():
     "build",
     [
         lambda: DriftConfig(baseline_workload=55),
-        lambda: DriftConfig(sweep=()),
-        lambda: DriftConfig(sweep=(50, 40)),
         lambda: SharingConfig(tolerance=-1.0),
         lambda: trajectory_metrics([40, 40, 60], [1.0, 2.0, 3.0], 50),
     ],
-    ids=["baseline-55", "empty-sweep", "falling-sweep", "negative-tolerance", "repeated-workloads"],
+    ids=["baseline-55", "negative-tolerance", "repeated-workloads"],
 )
 def test_config_range_errors_are_typed(build):
     # a KnowmapError, and still the ValueError older callers catch
@@ -173,6 +170,26 @@ def test_config_rejects_a_bad_size(field, value):
         DriftConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", MAX_DIMENSION + 1),
+        ("dimension", 10**5),
+        ("rounds", MAX_ROUNDS + 1),
+        ("rounds", 10**9),
+    ],
+)
+def test_config_rejects_an_absurd_size(field, value):
+    # rejected at construction, before any layer or round history is allocated
+    with pytest.raises(InvalidSizeError, match=f"{field} must be an integer >= 1 and <= "):
+        DriftConfig(**{field: value})
+
+
+def test_config_accepts_the_largest_sizes():
+    config = DriftConfig(dimension=MAX_DIMENSION, rounds=MAX_ROUNDS)
+    assert (config.dimension, config.rounds) == (1024, 1000)
+
+
 @pytest.mark.parametrize("topology", ["ring", None, 0])
 def test_config_rejects_a_topology_that_is_not_a_kind(topology):
     with pytest.raises(InvalidTopologyError, match=r"\(ring, full or line\)") as raised:
@@ -181,12 +198,8 @@ def test_config_rejects_a_topology_that_is_not_a_kind(topology):
 
 
 def test_numpy_integer_sizes_export_like_python_ints(tmp_path):
-    plain = run_drift(DriftConfig(nodes=5, dimension=4, rounds=3, sweep=(0, 50, 100)))
-    numpy = run_drift(
-        DriftConfig(
-            nodes=np.int64(5), dimension=np.int32(4), rounds=np.int64(3), sweep=(0, 50, 100)
-        )
-    )
+    plain = run_drift(DriftConfig(nodes=5, dimension=4, rounds=3))
+    numpy = run_drift(DriftConfig(nodes=np.int64(5), dimension=np.int32(4), rounds=np.int64(3)))
     first, second = export_result(plain, tmp_path / "a"), export_result(numpy, tmp_path / "b")
     for left, right in zip(first, second, strict=True):
         assert left.name == right.name
@@ -210,14 +223,14 @@ def quick_config(**overrides):
 def test_run_shapes_and_defaults():
     result = run_drift(quick_config())
     assert result.target == "node-0"
-    assert len(result.centroid_distances) == len(DEFAULT_SWEEP)
-    assert len(result.step_maps) == len(DEFAULT_SWEEP)
-    assert result.projection.shape == (5 + len(DEFAULT_SWEEP), 2)
+    assert len(result.centroid_distances) == len(SWEEP)
+    assert len(result.step_maps) == len(SWEEP)
+    assert result.projection.shape == (5 + len(SWEEP), 2)
     # one input round plus one sharing round per step at the default depth
-    assert [m.rounds_used for m in result.step_maps] == [2] * len(DEFAULT_SWEEP)
+    assert [m.rounds_used for m in result.step_maps] == [2] * len(SWEEP)
     assert result.projection_labels[:5] == [f"baseline:node-{i}" for i in range(5)]
-    assert result.projection_labels[5:] == ["target:node-0"] * len(DEFAULT_SWEEP)
-    assert result.projection_workloads == [50] * 5 + list(DEFAULT_SWEEP)
+    assert result.projection_labels[5:] == ["target:node-0"] * len(SWEEP)
+    assert result.projection_workloads == [50] * 5 + list(SWEEP)
 
 
 def test_run_is_deterministic():
@@ -249,22 +262,16 @@ def test_distance_is_small_only_at_the_baseline_step():
     assert result.centroid_distances[sweep.index(100)] > 10 * at_baseline
 
 
-def test_short_sweep_gets_trivial_metrics():
-    result = run_drift(quick_config(sweep=(40, 60)))
-    assert result.metrics.left_monotone and result.metrics.right_monotone
-    assert result.metrics.min_distance_workload in (40, 60)
-
-
-def test_single_step_sweep_runs():
-    result = run_drift(quick_config(sweep=(70,)))
-    assert len(result.centroid_distances) == 1
-    assert result.metrics.min_distance_workload == 70
-
-
-def test_degenerate_projection_falls_back_to_zeros():
-    # no fluctuation and a baseline-only sweep leave every row identical
-    result = run_drift(quick_config(fluctuation=0.0, sweep=(50,)))
-    assert np.array_equal(result.projection, np.zeros((6, 2)))
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize(
+    "topology, nodes",
+    [(TopologyKind.RING, 3), (TopologyKind.FULLY_CONNECTED, 2), (TopologyKind.LINE, 2)],
+)
+def test_smallest_graphs_project_onto_two_spread_axes(topology, nodes, seed):
+    # without jitter the peers are identical, yet the sweep's 0 and 100 keep the rows apart
+    result = run_drift(DriftConfig(topology=topology, nodes=nodes, seed=seed, fluctuation=0.0))
+    assert result.projection.shape == (nodes + len(SWEEP), 2)
+    assert np.all(np.ptp(result.projection, axis=0) > 0.0)
 
 
 def test_zero_fluctuation_still_separates_the_sweep():
@@ -298,10 +305,10 @@ def test_metrics_json_content(tmp_path):
     }
     assert data["topology"] == "ring"
     assert data["n"] == 5
-    assert data["sweep"] == list(DEFAULT_SWEEP)
+    assert data["sweep"] == list(SWEEP)
     assert data["centroid_distance"] == result.centroid_distances
     assert data["min_distance_workload"] == result.metrics.min_distance_workload
-    assert data["rounds_used"] == [2] * len(DEFAULT_SWEEP)
+    assert data["rounds_used"] == [2] * len(SWEEP)
 
 
 def test_projection_csv_content(tmp_path):
@@ -310,7 +317,7 @@ def test_projection_csv_content(tmp_path):
     write_projection_csv(path, result)
     lines = path.read_text().splitlines()
     assert lines[0] == "label,workload_pct,x,y"
-    assert len(lines) == 1 + 5 + len(DEFAULT_SWEEP)
+    assert len(lines) == 1 + 5 + len(SWEEP)
     first = lines[1].split(",")
     assert first[0] == "baseline:node-0"
     assert float(first[2]) == result.projection[0, 0]
@@ -436,10 +443,8 @@ def test_export_result_is_reproducible(tmp_path):
 
 
 def test_numpy_integer_workloads_export_like_python_ints(tmp_path):
-    plain = run_drift(DriftConfig(nodes=5, sweep=(0, 50, 100)))
-    numpy = run_drift(
-        DriftConfig(nodes=5, sweep=tuple(np.arange(0, 101, 50)), baseline_workload=np.int64(50))
-    )
+    plain = run_drift(DriftConfig(nodes=5))
+    numpy = run_drift(DriftConfig(nodes=5, baseline_workload=np.int64(50)))
     first, second = export_result(plain, tmp_path / "a"), export_result(numpy, tmp_path / "b")
     for left, right in zip(first, second, strict=True):
         assert left.name == right.name

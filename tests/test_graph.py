@@ -66,6 +66,11 @@ def test_edge_endpoints_must_exist():
     for link in ([0, 2], [2, 0], [-1, 0]):
         with pytest.raises(MissingEndpointError):
             KnowledgeGraph.from_links(["a", "b"], [link])
+    # a position must be an integer: no truncating floats, no bools read as 0/1
+    for links in ([[0.9, 1.2], [1, 2.99]], [[0.0, 1.0]], np.array([[False, True]])):
+        with pytest.raises(MissingEndpointError, match="must be integers"):
+            KnowledgeGraph.from_links(["a", "b", "c"], links)
+    assert KnowledgeGraph.from_links(["a", "b"], []).edge_count == 0  # [] reads as float64
 
 
 def test_duplicate_edge_rejected():
