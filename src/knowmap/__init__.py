@@ -26,7 +26,7 @@ from .features import (
 )
 from .graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from .pca import PCAModel, fit_pca, jacobi_eigh, transform
-from .sharing import KnowledgeMap, SharingConfig, run_sharing
+from .sharing import KnowledgeMap, run_sharing
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "Layer",
     "NodeFeatures",
     "PCAModel",
-    "SharingConfig",
     "TopologyKind",
     "TrajectoryMetrics",
     "aggregate",

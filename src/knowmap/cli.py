@@ -9,16 +9,16 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
-from .drift import DEFAULT_BASELINE, DEFAULT_SEED, DriftConfig, export_result, run_drift, settle
-from .embedding import DEFAULT_DIMENSION, DEFAULT_ROUNDS, init_layers, write_embedding_csv
+from .drift import DriftConfig, export_result, run_drift, settle
+from .embedding import init_layers, write_embedding_csv
 from .errors import KnowmapError, MalformedCsvError
-from .features import DEFAULT_MAGNITUDE, feature_vector, features_at
+from .features import feature_vector, features_at
 from .graph import TopologyKind, build_topology
-from .sharing import DEFAULT_TOLERANCE
 from .svgplot import write_scatter_svg
 
 EXIT_OK = 0
@@ -35,18 +35,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A drift or embed flag sets the DriftConfig field its dest names; unset, it keeps the default.
     drift = sub.add_parser(
-        "drift", help="run a workload sweep and export metrics, projection, and plot"
+        "drift",
+        help="run a workload sweep and export metrics, projection, and plot",
+        argument_default=argparse.SUPPRESS,
     )
-    drift.add_argument("--topology", choices=_TOPOLOGY_CHOICES, default="ring")
-    drift.add_argument("--nodes", type=int, default=10)
-    drift.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    drift.add_argument("--target", default=None, help="node id to sweep (default: node-0)")
-    drift.add_argument("--baseline", type=int, default=DEFAULT_BASELINE)
-    drift.add_argument("--dim", type=int, default=DEFAULT_DIMENSION)
-    drift.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    drift.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    drift.add_argument("--fluctuation", type=float, default=DEFAULT_MAGNITUDE)
+    drift.add_argument("--topology", choices=_TOPOLOGY_CHOICES)
+    drift.add_argument("--nodes", type=int)
+    drift.add_argument("--seed", type=int)
+    drift.add_argument("--target", help="node id to sweep (default: node-0)")
+    drift.add_argument("--baseline", type=int, dest="baseline_workload", metavar="BASELINE")
+    drift.add_argument("--dim", type=int, dest="dimension", metavar="DIM")
+    drift.add_argument("--rounds", type=int)
+    drift.add_argument("--tolerance", type=float, dest="sharing_tolerance", metavar="TOLERANCE")
+    drift.add_argument("--fluctuation", type=float)
     drift.add_argument("--out", default=".", help="output directory")
     drift.set_defaults(handler=_run_drift)
 
@@ -57,16 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
     topology.set_defaults(handler=_run_topology)
 
     embed = sub.add_parser(
-        "embed", help="embed a uniformly loaded topology and export per-round CSV"
+        "embed",
+        help="embed a uniformly loaded topology and export per-round CSV",
+        argument_default=argparse.SUPPRESS,
     )
-    embed.add_argument("--topology", choices=_TOPOLOGY_CHOICES, default="ring")
-    embed.add_argument("--nodes", type=int, default=10)
-    embed.add_argument("--workload", type=int, default=DEFAULT_BASELINE)
-    embed.add_argument("--dim", type=int, default=DEFAULT_DIMENSION)
-    embed.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    embed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    embed.add_argument("--topology", choices=_TOPOLOGY_CHOICES)
+    embed.add_argument("--nodes", type=int)
+    embed.add_argument("--workload", type=int, dest="baseline_workload", metavar="WORKLOAD")
+    embed.add_argument("--dim", type=int, dest="dimension", metavar="DIM")
+    embed.add_argument("--rounds", type=int)
+    embed.add_argument("--seed", type=int)
     embed.add_argument("--out", default="embeddings.csv")
-    embed.set_defaults(handler=_run_embed)
+    embed.set_defaults(handler=_run_embed, sharing_tolerance=0.0)  # every round runs
 
     plot = sub.add_parser("plot", help="re-render a projection CSV as an SVG scatter")
     plot.add_argument("--projection", required=True, help="projection.csv from a drift run")
@@ -77,18 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def drift_config(args: argparse.Namespace) -> DriftConfig:
+    """The DriftConfig of the fields args sets; every other field keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(DriftConfig) if f.name in args}
+    if "topology" in given:
+        given["topology"] = TopologyKind(given["topology"])
+    return DriftConfig(**given)
+
+
 def _run_drift(args: argparse.Namespace) -> int:
-    config = DriftConfig(
-        topology=TopologyKind(args.topology),
-        nodes=args.nodes,
-        seed=args.seed,
-        target=args.target,
-        baseline_workload=args.baseline,
-        dimension=args.dim,
-        rounds=args.rounds,
-        sharing_tolerance=args.tolerance,
-        fluctuation=args.fluctuation,
-    )
+    config = drift_config(args)
     result = run_drift(config)
     for path in export_result(result, args.out):
         print(f"wrote {path}")
@@ -114,20 +117,12 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_embed(args: argparse.Namespace) -> int:
-    config = DriftConfig(
-        topology=TopologyKind(args.topology),
-        nodes=args.nodes,
-        seed=args.seed,
-        baseline_workload=args.workload,
-        dimension=args.dim,
-        rounds=args.rounds,
-        sharing_tolerance=0.0,
-    )
+    config = drift_config(args)
     graph = build_topology(config.topology, config.nodes)
     features = np.tile(feature_vector(features_at(config.baseline_workload)), (graph.node_count, 1))
     layers = init_layers(config.dimension, config.seed)
     history: list[np.ndarray] = []
-    settle(graph, features, layers, config.sharing_config(), history)
+    settle(graph, features, layers, config.rounds, config.sharing_tolerance, history)
     write_embedding_csv(args.out, graph.node_ids, history)
     print(f"wrote {args.out} ({graph.node_count} nodes x {len(history)} rounds)")
     return EXIT_OK

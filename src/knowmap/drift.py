@@ -18,8 +18,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .embedding import (
-    DEFAULT_DIMENSION,
-    DEFAULT_ROUNDS,
     Layer,
     aggregate,
     csv_fields,
@@ -28,13 +26,14 @@ from .embedding import (
     write_csv,
 )
 from .errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     InvalidConfigError,
+    InvalidSizeError,
     TooFewStepsError,
     UnknownNodeError,
 )
 from .features import (
-    DEFAULT_MAGNITUDE,
     apply_fluctuation,
     check_magnitude,
     check_seed,
@@ -54,20 +53,18 @@ from .graph import (
 )
 from .pca import fit_pca, transform
 from .sharing import (
-    DEFAULT_TOLERANCE,
     KnowledgeMap,
-    SharingConfig,
+    check_tolerance,
     run_sharing,
     write_knowledge_map_csv,
     write_knowledge_map_json,
 )
 
 SWEEP = tuple(range(0, 101, 10))  # the paper's decade grid; every run sweeps all of it
-DEFAULT_BASELINE = 50
-DEFAULT_SEED = 42
 MONOTONE_TOLERANCE = 1e-9
 MAX_DIMENSION = 1024  # widest embedding DriftConfig accepts: 8 MiB a hidden layer
 MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round
+MAX_STATE_VALUES = 2**29  # 4 GiB of float64: 1 + len(SWEEP) drift maps, or one embed map a round
 
 METRICS_FILE = "metrics.json"
 PROJECTION_FILE = "projection.csv"
@@ -77,18 +74,18 @@ PLOT_FILE = "trajectory.svg"
 
 @dataclass(frozen=True)
 class DriftConfig:
-    """Everything one drift run depends on; two equal configs give equal runs."""
+    """All a drift run depends on, so equal configs give equal runs; defaults live only here."""
 
     topology: TopologyKind = TopologyKind.RING
     nodes: int = 10
-    seed: int = DEFAULT_SEED
+    seed: int = 42
     target: str | None = None
-    baseline_workload: int = DEFAULT_BASELINE
+    baseline_workload: int = 50
     sweep: ClassVar[tuple[int, ...]] = SWEEP
-    dimension: int = DEFAULT_DIMENSION
-    rounds: int = DEFAULT_ROUNDS
-    sharing_tolerance: float = DEFAULT_TOLERANCE
-    fluctuation: float = DEFAULT_MAGNITUDE
+    dimension: int = 8
+    rounds: int = 2  # the input round, then rounds - 1 sharing rounds
+    sharing_tolerance: float = 1e-6
+    fluctuation: float = 0.02
 
     def __post_init__(self) -> None:
         check_topology(self.topology, self.nodes, "nodes")
@@ -97,11 +94,13 @@ class DriftConfig:
         check_count("dimension", self.dimension, 1, MAX_DIMENSION)
         check_count("rounds", self.rounds, 1, MAX_ROUNDS)
         check_seed(self.seed)  # also the seed of the layer weights
-        self.sharing_config()  # validates the tolerance
-
-    def sharing_config(self) -> SharingConfig:
-        """Stopping rule for the hidden rounds that follow the input round."""
-        return SharingConfig(max_rounds=self.rounds - 1, tolerance=self.sharing_tolerance)
+        check_tolerance(self.sharing_tolerance)
+        values = int(self.nodes) * int(self.dimension) * max(int(self.rounds), 1 + len(SWEEP))
+        if values > MAX_STATE_VALUES:
+            raise InvalidSizeError(
+                f"nodes={self.nodes} x dimension={self.dimension} x max(rounds={self.rounds}, "
+                f"{1 + len(SWEEP)}) = {values} values > MAX_STATE_VALUES = {MAX_STATE_VALUES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,21 +165,23 @@ def settle(
     graph: KnowledgeGraph,
     features: np.ndarray,
     layers: tuple[Layer, Layer],
-    config: SharingConfig,
+    rounds: int,
+    tolerance: float,
     history: list[np.ndarray] | None = None,
 ) -> KnowledgeMap:
     """Settle one feature assignment: the input round, then the sharing rounds.
 
-    layers is the (input, hidden) pair of init_layers; rounds_used and the
-    round numbers in errors count the input round as round 1.  Given a
-    history list, the states after every round, input round first, are
-    appended to it.
+    layers is the (input, hidden) pair of init_layers.  At most rounds rounds
+    run; they, rounds_used and the round numbers in errors count the input
+    round as round 1.  tolerance is run_sharing's.  Given a history list,
+    the states after every round, input round first, are appended to it.
     """
+    check_count("rounds", rounds, 1)
     input_layer, hidden_layer = layers
     first = embedding_round(graph, features, input_layer)
     if history is not None:
         history.append(first)
-    shared = run_sharing(graph, first, hidden_layer, config, history, first_round=2)
+    shared = run_sharing(graph, first, hidden_layer, rounds - 1, tolerance, history, first_round=2)
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
@@ -196,23 +197,21 @@ def run_drift(config: DriftConfig) -> DriftResult:
     target_row = graph.node_ids.index(target)
     keys = node_keys(graph.node_ids)
 
-    def draw(step: int, pinned: int | None = None) -> np.ndarray:
-        """Feature rows of one settle; a pinned target is set exactly, peers jitter."""
+    def settled(step: int, pinned: int | None = None) -> KnowledgeMap:
+        """Settle step's features: peers jitter, a pinned target is set exactly."""
         rows = apply_fluctuation(base, config.seed, config.fluctuation, keys=keys, step=step)
         if pinned is not None:
             rows[target_row] = feature_vector(set_workload(base, pinned))
-        return rows
+        layers = init_layers(config.dimension, config.seed)  # per settle: the bench counts calls
+        return settle(graph, rows, layers, config.rounds, config.sharing_tolerance)
 
-    # Layers are drawn once per settle: the benchmark's traced run counts the calls.
-    sharing = config.sharing_config()
-    baseline_map = settle(graph, draw(0), init_layers(config.dimension, config.seed), sharing)
+    baseline_map = settled(0)
 
     centroid_distances: list[float] = []
     target_rows: list[np.ndarray] = []
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
-        features = draw(step_index, pinned=workload)
-        step_map = settle(graph, features, init_layers(config.dimension, config.seed), sharing)
+        step_map = settled(step_index, pinned=workload)
         state = step_map.states[target_row]
         centroid = aggregate(np.delete(step_map.states, target_row, axis=0))
         centroid_distances.append(float(np.linalg.norm(state - centroid)))
@@ -223,7 +222,11 @@ def run_drift(config: DriftConfig) -> DriftResult:
     labels += [f"target:{target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
     rows = np.vstack([baseline_map.states, *target_rows])
-    projection = transform(fit_pca(rows, components=2), rows)  # SWEEP's 0 and 100 keep rows apart
+    try:
+        projection = transform(fit_pca(rows, components=2), rows)
+    except DegenerateInputError:
+        # A collapsed run: deep rounds over-smooth every row into one vector.
+        projection = np.zeros((len(rows), 2))
     metrics = trajectory_metrics(config.sweep, centroid_distances, config.baseline_workload)
 
     return DriftResult(

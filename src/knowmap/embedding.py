@@ -31,8 +31,6 @@ import numpy as np
 from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
 from .graph import KnowledgeGraph, check_count
 
-DEFAULT_DIMENSION = 8
-DEFAULT_ROUNDS = 2
 FEATURE_DIMENSION = 3
 
 

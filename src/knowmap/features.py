@@ -14,7 +14,6 @@ from .errors import InvalidConfigError, InvalidSeedError, MagnitudeOutOfRangeErr
 # the features only as mem_available / mem_total, and scaling by a power of
 # two and dividing it back out is exact.
 DEFAULT_MEM_TOTAL = 8192.0
-DEFAULT_MAGNITUDE = 0.02
 WORKLOAD_STEP = 10
 
 # Stream tag separating fluctuation draws from any other seeded stream.

@@ -13,27 +13,14 @@ from .embedding import Layer, embedding_round, write_embedding_csv
 from .errors import EmptyInputError, InvalidConfigError, NonFiniteValueError
 from .graph import KnowledgeGraph, check_count
 
-DEFAULT_MAX_ROUNDS = 50
-DEFAULT_TOLERANCE = 1e-6
 
-
-@dataclass(frozen=True)
-class SharingConfig:
-    """Stopping rule for the sharing loop.
-
-    A tolerance of zero disables the convergence check, so exactly
-    max_rounds rounds run.
-    """
-
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def __post_init__(self) -> None:
-        check_count("max_rounds", self.max_rounds, 0)
-        if not math.isfinite(self.tolerance):
-            raise NonFiniteValueError(f"tolerance must be finite, got {self.tolerance}")
-        if self.tolerance < 0.0:
-            raise InvalidConfigError(f"tolerance must be >= 0, got {self.tolerance}")
+def check_tolerance(value: float) -> float:
+    """Validate a sharing tolerance: finite and >= 0.  Zero disables the convergence check."""
+    if not math.isfinite(value):
+        raise NonFiniteValueError(f"tolerance must be finite, got {value}")
+    if value < 0.0:
+        raise InvalidConfigError(f"tolerance must be >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,28 +45,31 @@ def run_sharing(
     graph: KnowledgeGraph,
     states: np.ndarray,
     layer: Layer,
-    config: SharingConfig = SharingConfig(),
+    max_rounds: int,
+    tolerance: float,
     history: list[np.ndarray] | None = None,
     first_round: int = 1,
 ) -> KnowledgeMap:
-    """Repeat sharing rounds until movement drops below tolerance.
+    """Repeat sharing rounds until movement drops below tolerance, at most max_rounds.
 
-    Rounds are synchronous: all nodes update from the same pre-round
-    snapshot, so the result is independent of node iteration order.
-    states holds one row per node in graph.node_ids order.  Given a history
-    list, each round's states are appended to it.  Errors number the rounds
-    from first_round.
+    A zero tolerance runs all max_rounds rounds.  Rounds are synchronous:
+    all nodes update from the same pre-round snapshot, so the result is
+    independent of node iteration order.  states holds one row per node in
+    graph.node_ids order.  Given a history list, each round's states are
+    appended to it.  Errors number the rounds from first_round.
     """
+    check_count("max_rounds", max_rounds, 0)
+    check_tolerance(tolerance)
     current = np.asarray(states, dtype=float)
     rounds_used, converged, final_delta = 0, False, 0.0
-    while rounds_used < config.max_rounds and not converged:
+    while rounds_used < max_rounds and not converged:
         rounds_used += 1
         updated = embedding_round(graph, current, layer, first_round + rounds_used - 1)
         final_delta = states_delta(current, updated)
         current = updated
         if history is not None:
             history.append(current)
-        converged = config.tolerance > 0.0 and final_delta < config.tolerance
+        converged = tolerance > 0.0 and final_delta < tolerance
     return KnowledgeMap(
         node_ids=graph.node_ids,
         states=current,

@@ -16,7 +16,6 @@ from knowmap.drift import DriftConfig, run_drift, settle
 from knowmap.embedding import init_layers
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 from knowmap.pca import fit_pca, transform
-from knowmap.sharing import SharingConfig
 
 ALL_TOPOLOGIES = (TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.LINE)
 SWEEP_SIZES = (5, 10, 20)
@@ -32,11 +31,6 @@ def baseline_spread(result):
     rows = result.baseline_map.states
     centroid = rows.mean(axis=0)
     return float(np.mean(np.linalg.norm(rows - centroid, axis=1)))
-
-
-def every_round(rounds):
-    """Stopping rule of a settle that runs all its rounds: the input round, then rounds - 1."""
-    return SharingConfig(max_rounds=rounds - 1, tolerance=0.0)
 
 
 def adjacent_inversions(values, rising, tolerance=1e-9):
@@ -178,7 +172,7 @@ def test_ac4_embedding_oracle_equivalence(capsys):
         input_layer, hidden_layer = init_layers(4, trial)
         vectors = {v: rng.uniform(0.1, 1.0, 3) for v in neighbors}
         features = np.array([vectors[v] for v in graph.node_ids])
-        got = settle(graph, features, (input_layer, hidden_layer), every_round(rounds)).states
+        got = settle(graph, features, (input_layer, hidden_layer), rounds, 0.0).states
         layers = (
             (input_layer.self_weights.tolist(), input_layer.neighbor_weights.tolist()),
             (hidden_layer.self_weights.tolist(), hidden_layer.neighbor_weights.tolist()),
@@ -202,12 +196,12 @@ def test_ac5_receptive_field(capsys):
     base = np.array([rng.uniform(0.1, 1.0, 3) for _ in graph.node_ids])
     target = graph.node_ids.index(node_name(0))
     for rounds in (1, 2, 3):
-        layers, sharing = init_layers(4, 8), every_round(rounds)
-        reference = settle(graph, base, layers, sharing).states[target]
+        layers = init_layers(4, 8)
+        reference = settle(graph, base, layers, rounds, 0.0).states[target]
         for distance in range(1, 10):
             perturbed = base.copy()
             perturbed[graph.node_ids.index(node_name(distance))] += 0.5
-            moved = settle(graph, perturbed, layers, sharing).states[target]
+            moved = settle(graph, perturbed, layers, rounds, 0.0).states[target]
             if distance <= rounds:
                 assert not np.array_equal(moved, reference), (
                     f"L={rounds}: perturbation at distance {distance} had no effect"

@@ -1,6 +1,8 @@
 """CLI behavior: defaults, artifacts, exit codes, and determinism."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,35 +14,43 @@ from xml.etree import ElementTree
 import pytest
 
 import knowmap
-from knowmap.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
+from knowmap.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, drift_config, main
 from knowmap.drift import (
-    DEFAULT_BASELINE,
-    DEFAULT_SEED,
     KNOWLEDGE_MAP_FILE,
     METRICS_FILE,
     PLOT_FILE,
     PROJECTION_FILE,
+    DriftConfig,
 )
-from knowmap.embedding import DEFAULT_DIMENSION, DEFAULT_ROUNDS
-from knowmap.features import DEFAULT_MAGNITUDE
 from knowmap.graph import TopologyKind, build_topology
-from knowmap.sharing import DEFAULT_TOLERANCE
 
 DRIFT_FILES = (METRICS_FILE, PROJECTION_FILE, KNOWLEDGE_MAP_FILE, PLOT_FILE)
 
 
-def test_drift_defaults_track_module_constants():
+def test_drift_without_flags_builds_the_default_config():
     args = build_parser().parse_args(["drift"])
-    assert args.topology == "ring"
-    assert args.nodes == 10
-    assert args.seed == DEFAULT_SEED
-    assert args.target is None
-    assert args.baseline == DEFAULT_BASELINE
-    assert args.dim == DEFAULT_DIMENSION
-    assert args.rounds == DEFAULT_ROUNDS
-    assert args.tolerance == DEFAULT_TOLERANCE
-    assert args.fluctuation == DEFAULT_MAGNITUDE
+    assert drift_config(args) == DriftConfig()
     assert args.out == "."
+
+
+def test_embed_without_flags_builds_the_default_config_at_tolerance_0():
+    args = build_parser().parse_args(["embed"])
+    assert drift_config(args) == DriftConfig(sharing_tolerance=0.0)
+    assert args.out == "embeddings.csv"
+
+
+def test_each_config_field_is_set_by_exactly_one_drift_flag():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = [action.dest for action in commands.choices["drift"]._actions]
+    for field in dataclasses.fields(DriftConfig):
+        assert dests.count(field.name) == 1, field.name
+    flags = "--topology line --nodes 7 --seed 3 --target node-2 --baseline 60 --dim 4"
+    flags += " --rounds 5 --tolerance 0.001 --fluctuation 0.05"
+    args = build_parser().parse_args(["drift", *flags.split()])
+    assert drift_config(args) == DriftConfig(
+        topology=TopologyKind.LINE, nodes=7, seed=3, target="node-2", baseline_workload=60,
+        dimension=4, rounds=5, sharing_tolerance=1e-3, fluctuation=0.05,
+    )
 
 
 def test_drift_writes_all_artifacts(tmp_path, capsys):
@@ -218,6 +228,14 @@ def test_more_than_max_edges_is_a_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_more_state_values_than_max_is_a_config_error(tmp_path, capsys):
+    # a 1000-round embed of 1000 nodes at dim 1024 would keep 8 GB of rounds
+    argv = ["embed", "--nodes", "1000", "--dim", "1024", "--rounds", "1000"]
+    assert main([*argv, "--out", str(tmp_path / "emb.csv")]) == EXIT_CONFIG
+    assert "MAX_STATE_VALUES" in capsys.readouterr().err
+    assert not (tmp_path / "emb.csv").exists()
+
+
 def test_embed_writes_per_round_rows(tmp_path):
     path = tmp_path / "emb.csv"
     code = main(
@@ -237,9 +255,10 @@ def test_embed_rows_follow_the_graph_node_order(tmp_path):
         rows = list(csv.reader(handle))[1:]
     node_ids = build_topology(TopologyKind.RING, 12).node_ids
     assert node_ids[:5] == ["node-0", "node-1", "node-10", "node-11", "node-2"]
-    for round_index in range(1, DEFAULT_ROUNDS + 1):
+    rounds = DriftConfig().rounds
+    for round_index in range(1, rounds + 1):
         assert [row[0] for row in rows if row[1] == str(round_index)] == node_ids
-    assert len(rows) == 12 * DEFAULT_ROUNDS
+    assert len(rows) == 12 * rounds
 
 
 def test_embed_rejects_bad_workload(tmp_path):
@@ -372,3 +391,27 @@ def test_drift_artifacts_are_pinned(tmp_path, case):
     assert (hashlib.sha256(lines.encode()).hexdigest(), digest(tmp_path / PROJECTION_FILE)) == (
         DRIFT_12_SHA256[case]
     ), lines
+
+
+# sha256 of projection.csv of `knowmap drift --tolerance 0` runs deep enough
+# that every row over-smooths into one vector, as written before the
+# all-zero fallback was first deleted.
+COLLAPSED_SHA256 = {
+    ("line", "12", "50"): "c141c86f3bd3ea01ab477179237730106110deb9443b5f73a6e6ad11469d91bc",
+    ("full", "3", "30"): "ffd24478f1ce24db124e09d382014285f6bcea09da22758e1ccc69c9e8e40eb1",
+    ("ring", "3", "30"): "ffd24478f1ce24db124e09d382014285f6bcea09da22758e1ccc69c9e8e40eb1",
+    ("ring", "40", "30"): "6e87c455eaa4c401cdfc787643744c35eb771f23b5cea3712c7c791b7996ac75",
+}
+
+
+@pytest.mark.parametrize("topology, nodes, rounds", sorted(COLLAPSED_SHA256))
+def test_collapsed_deep_run_projects_to_zeros(tmp_path, topology, nodes, rounds):
+    flags = ["--topology", topology, "--nodes", nodes, "--rounds", rounds, "--tolerance", "0"]
+    assert main(["drift", *flags, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(list(tmp_path.iterdir())) == 16
+    projection = tmp_path / PROJECTION_FILE
+    with open(projection, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert {cell for row in rows for cell in row[2:]} == {"0"}
+    digest = hashlib.sha256(projection.read_bytes()).hexdigest()
+    assert digest == COLLAPSED_SHA256[(topology, nodes, rounds)]

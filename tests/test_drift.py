@@ -11,6 +11,7 @@ import pytest
 from knowmap.drift import (
     MAX_DIMENSION,
     MAX_ROUNDS,
+    MAX_STATE_VALUES,
     METRICS_FILE,
     SWEEP,
     DriftConfig,
@@ -36,7 +37,7 @@ from knowmap.errors import (
 )
 from knowmap.embedding import init_layers
 from knowmap.graph import TopologyKind, build_topology
-from knowmap.sharing import SharingConfig
+from knowmap.sharing import check_tolerance
 
 
 def test_default_sweep_covers_the_decade_grid():
@@ -121,7 +122,7 @@ def test_config_validation():
     "build",
     [
         lambda: DriftConfig(baseline_workload=55),
-        lambda: SharingConfig(tolerance=-1.0),
+        lambda: check_tolerance(-1.0),
         lambda: trajectory_metrics([40, 40, 60], [1.0, 2.0, 3.0], 50),
     ],
     ids=["baseline-55", "negative-tolerance", "repeated-workloads"],
@@ -188,6 +189,25 @@ def test_config_rejects_an_absurd_size(field, value):
 def test_config_accepts_the_largest_sizes():
     config = DriftConfig(dimension=MAX_DIMENSION, rounds=MAX_ROUNDS)
     assert (config.dimension, config.rounds) == (1024, 1000)
+    assert 2**22 * 8 * 16 == MAX_STATE_VALUES == 2**29
+    DriftConfig(nodes=2**22, dimension=8, rounds=16)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        dict(nodes=5_000_000, dimension=1024),  # 41 GB a state matrix
+        dict(nodes=1000, dimension=1024, rounds=1000),  # knowmap embed keeps every round
+        dict(nodes=2**22 + 1, dimension=8, rounds=16),  # one node past the bound
+        dict(nodes=2**22, dimension=11),  # run_drift keeps 1 + len(SWEEP) maps at any rounds
+    ],
+)
+def test_config_rejects_more_state_values_than_max(sizes):
+    # rejected at construction: nothing of the absurd size is allocated
+    with pytest.raises(InvalidSizeError, match="MAX_STATE_VALUES") as raised:
+        DriftConfig(**sizes)
+    for field, value in sizes.items():
+        assert f"{field}={value}" in str(raised.value)
 
 
 @pytest.mark.parametrize("topology", ["ring", None, 0])
@@ -451,6 +471,13 @@ def test_numpy_integer_workloads_export_like_python_ints(tmp_path):
         assert left.read_bytes() == right.read_bytes(), left.name
 
 
+def test_settle_rejects_fewer_than_one_round():
+    # the input round is round 1, so a settle of 0 rounds is a size error, named as such
+    graph = build_topology(TopologyKind.LINE, 3)
+    with pytest.raises(InvalidSizeError, match="rounds must be an integer >= 1, got 0"):
+        settle(graph, np.ones((3, 3)), init_layers(4, 9), 0, 0.0)
+
+
 @pytest.mark.parametrize("tolerance", [0.0, 1e-3])
 def test_settle_history_holds_every_round(tolerance):
     # one entry per round, the input round first; the last is the settled map
@@ -458,7 +485,7 @@ def test_settle_history_holds_every_round(tolerance):
     features = np.random.default_rng(4).uniform(0.1, 1.0, (7, 3))
     layers = init_layers(4, 9)
     history = []
-    kmap = settle(graph, features, layers, SharingConfig(max_rounds=9, tolerance=tolerance), history)
+    kmap = settle(graph, features, layers, 10, tolerance, history)
     assert len(history) == kmap.rounds_used
     assert history[-1].tobytes() == kmap.states.tobytes()
     if tolerance == 0.0:

@@ -30,7 +30,6 @@ from knowmap.errors import (
     ZeroVectorError,
 )
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
-from knowmap.sharing import SharingConfig
 
 vectors3 = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -58,7 +57,7 @@ def settle_rounds(graph, features, dimension, rounds, seed):
     """Per-round (n x d) states of a tolerance-0 settle; index 0 is round 1."""
     history = []
     layers = init_layers(dimension, seed)
-    settle(graph, features, layers, SharingConfig(max_rounds=rounds - 1, tolerance=0.0), history)
+    settle(graph, features, layers, rounds, 0.0, history)
     return history
 
 

@@ -17,12 +17,17 @@ from knowmap.features import feature_vector, features_at
 from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import (
     KnowledgeMap,
-    SharingConfig,
+    check_tolerance,
     run_sharing,
     states_delta,
     write_knowledge_map_csv,
     write_knowledge_map_json,
 )
+
+
+# The stopping rule of the runs below that are meant to converge.
+MAX_ROUNDS = 50
+TOLERANCE = 1e-6
 
 
 def ring_setup(n=5, dim=4, seed=3):
@@ -34,15 +39,17 @@ def ring_setup(n=5, dim=4, seed=3):
 
 
 def test_sharing_config_validation():
+    graph, states, layer = ring_setup()
     for bad in (-1, 2.5, 2.0, True, None):
         with pytest.raises(InvalidSizeError, match="max_rounds must be an integer >= 0"):
-            SharingConfig(max_rounds=bad)
-    assert SharingConfig(max_rounds=np.int64(0)).max_rounds == 0
-    with pytest.raises(ValueError):
-        SharingConfig(tolerance=-1e-9)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(NonFiniteValueError):
-            SharingConfig(tolerance=bad)
+            run_sharing(graph, states, layer, bad, 0.0)
+    assert run_sharing(graph, states, layer, np.int64(0), 0.0).rounds_used == 0
+    for check in (check_tolerance, lambda value: run_sharing(graph, states, layer, 5, value)):
+        with pytest.raises(ValueError):
+            check(-1e-9)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteValueError):
+                check(bad)
 
 
 def test_states_delta_is_max_movement():
@@ -55,7 +62,7 @@ def test_states_delta_is_max_movement():
 
 def test_zero_tolerance_runs_exactly_max_rounds():
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(5, 0.0))
+    result = run_sharing(graph, states, layer, 5, 0.0)
     assert result.rounds_used == 5
     assert not result.converged
     assert result.final_delta > 0.0
@@ -63,7 +70,7 @@ def test_zero_tolerance_runs_exactly_max_rounds():
 
 def test_zero_max_rounds_returns_input():
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(0, 0.0))
+    result = run_sharing(graph, states, layer, 0, 0.0)
     assert result.rounds_used == 0
     assert result.final_delta == 0.0
     assert result.node_ids is graph.node_ids
@@ -74,24 +81,24 @@ def test_sharing_converges_on_uniform_ring():
     # the sigmoid layer is a contraction here, so the default tolerance
     # is reached well before the round cap
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer)
+    result = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
     assert result.converged
-    assert result.rounds_used < SharingConfig().max_rounds
-    assert result.final_delta < SharingConfig().tolerance
+    assert result.rounds_used < MAX_ROUNDS
+    assert result.final_delta < TOLERANCE
     assert np.all(np.abs(np.linalg.norm(result.states, axis=1) - 1.0) < 1e-12)
 
 
 def test_one_round_equals_direct_layer_application():
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer, config=SharingConfig(1, 0.0))
+    result = run_sharing(graph, states, layer, 1, 0.0)
     direct = embedding_round(graph, states, layer)
     assert np.array_equal(result.states, direct)
 
 
 def test_sharing_is_deterministic():
     graph, states, layer = ring_setup()
-    a = run_sharing(graph, states, layer)
-    b = run_sharing(graph, states, layer)
+    a = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
+    b = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
     assert a.rounds_used == b.rounds_used
     assert a.final_delta == b.final_delta
     assert a.states.tobytes() == b.states.tobytes()
@@ -103,7 +110,7 @@ def test_uniform_features_collapse_is_avoided_by_normalization():
     vectors = np.array([feature_vector(features_at(50))] * 5)
     input_layer, hidden_layer = init_layers(4, 2)
     states = embedding_round(graph, vectors, input_layer)
-    result = run_sharing(graph, states, hidden_layer)
+    result = run_sharing(graph, states, hidden_layer, MAX_ROUNDS, TOLERANCE)
     reference = result.states[graph.node_ids.index("node-0")]
     assert np.linalg.norm(reference) > 0.0
     for row in result.states:
@@ -138,7 +145,7 @@ def test_knowledge_map_dict_shape(tmp_path):
 
 def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer)
+    result = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
     bad_states = result.states.copy()
     bad_states[0, 0] = np.nan
     for bad in (
@@ -151,7 +158,7 @@ def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
 
 def test_knowledge_map_json_is_reproducible(tmp_path):
     graph, states, layer = ring_setup()
-    result = run_sharing(graph, states, layer)
+    result = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_knowledge_map_json(a, result)
     write_knowledge_map_json(b, result)
@@ -193,7 +200,7 @@ def test_zero_row_error_names_the_sharing_round():
     states = np.array([[1.0, -1.0], [1.0, -1.0]])
     zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
     with zero_row, np.errstate(over="ignore"):
-        run_sharing(graph, states, layer, SharingConfig(5, 0.0))
+        run_sharing(graph, states, layer, 5, 0.0)
 
 
 def test_settle_names_its_first_sharing_round_round_2():
@@ -207,7 +214,7 @@ def test_settle_names_its_first_sharing_round_round_2():
     history = []
     zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
     with zero_row, np.errstate(over="ignore"):
-        settle(graph, features, (input_layer, layer), SharingConfig(5, 0.0), history)
+        settle(graph, features, (input_layer, layer), 6, 0.0, history)
     assert len(history) == 1 and (history[0] > 0).all()
 
 
