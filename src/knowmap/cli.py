@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .drift import DriftConfig, export_result, run_drift, settle
-from .embedding import init_layers, write_embedding_csv
+from .drift import DriftConfig, export_result, run_drift, settle_step
+from .embedding import write_embedding_csv
 from .errors import KnowmapError, MalformedCsvError
-from .features import feature_vector, features_at
+from .features import node_keys
 from .graph import TopologyKind, build_topology
 from .svgplot import write_scatter_svg
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     embed = sub.add_parser(
         "embed",
-        help="embed a uniformly loaded topology and export per-round CSV",
+        help="settle the drift baseline and export its per-round CSV",
         argument_default=argparse.SUPPRESS,
     )
     embed.add_argument("--topology", choices=_TOPOLOGY_CHOICES)
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--rounds", type=int)
     embed.add_argument("--seed", type=int)
     embed.add_argument("--out", default="embeddings.csv")
-    embed.set_defaults(handler=_run_embed, sharing_tolerance=0.0)  # every round runs
+    embed.set_defaults(handler=_run_embed)
 
     plot = sub.add_parser("plot", help="re-render a projection CSV as an SVG scatter")
     plot.add_argument("--projection", required=True, help="projection.csv from a drift run")
@@ -105,12 +105,11 @@ def _run_drift(args: argparse.Namespace) -> int:
 
 
 def _run_topology(args: argparse.Namespace) -> int:
-    graph = build_topology(TopologyKind(args.kind), args.nodes)
-    text = graph.canonical_json()
+    text = build_topology(TopologyKind(args.kind), args.nodes).canonical_json()
     if args.out is None:
         print(text)
     else:
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             print(text, file=handle)  # text, then "\n": no second copy of the text
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -119,10 +118,8 @@ def _run_topology(args: argparse.Namespace) -> int:
 def _run_embed(args: argparse.Namespace) -> int:
     config = drift_config(args)
     graph = build_topology(config.topology, config.nodes)
-    features = np.tile(feature_vector(features_at(config.baseline_workload)), (graph.node_count, 1))
-    layers = init_layers(config.dimension, config.seed)
     history: list[np.ndarray] = []
-    settle(graph, features, layers, config.rounds, config.sharing_tolerance, history)
+    settle_step(config, graph, node_keys(graph.node_ids), history=history)  # the drift baseline
     write_embedding_csv(args.out, graph.node_ids, history)
     print(f"wrote {args.out} ({graph.node_count} nodes x {len(history)} rounds)")
     return EXIT_OK
@@ -133,7 +130,7 @@ def _read_projection(path: str) -> tuple[list[str], list[int], list[list[float]]
     labels: list[str] = []
     workloads: list[int] = []
     points: list[list[float]] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != expected:

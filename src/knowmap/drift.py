@@ -63,8 +63,8 @@ from .sharing import (
 SWEEP = tuple(range(0, 101, 10))  # the paper's decade grid; every run sweeps all of it
 MONOTONE_TOLERANCE = 1e-9
 MAX_DIMENSION = 1024  # widest embedding DriftConfig accepts: 8 MiB a hidden layer
-MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round
-MAX_STATE_VALUES = 2**29  # 4 GiB of float64: 1 + len(SWEEP) drift maps, or one embed map a round
+MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round it runs
+MAX_STATE_VALUES = 2**29  # 4 GiB of float64: 1 + len(SWEEP) drift maps, or one map per round embed runs
 
 METRICS_FILE = "metrics.json"
 PROJECTION_FILE = "projection.csv"
@@ -185,6 +185,18 @@ def settle(
     return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
 
 
+def settle_step(config: DriftConfig, graph: KnowledgeGraph, keys: np.ndarray, step: int = 0,
+                pin: tuple[int, int] | None = None,
+                history: list[np.ndarray] | None = None) -> KnowledgeMap:
+    """Settle step's features, keyed by node_keys: peers jitter, a pin (row, workload) is exact."""
+    base = features_at(config.baseline_workload)
+    rows = apply_fluctuation(base, config.seed, config.fluctuation, keys=keys, step=step)
+    if pin is not None:
+        rows[pin[0]] = feature_vector(set_workload(base, pin[1]))
+    layers = init_layers(config.dimension, config.seed)  # per settle: the bench counts calls
+    return settle(graph, rows, layers, config.rounds, config.sharing_tolerance, history)
+
+
 def run_drift(config: DriftConfig) -> DriftResult:
     """Run the full drift experiment described by config."""
     check_count("dimension", config.dimension, 2)  # the projection has two axes
@@ -193,25 +205,15 @@ def run_drift(config: DriftConfig) -> DriftResult:
     if target not in graph.node_ids:
         raise UnknownNodeError(f"target {target!r} is not in the graph")
 
-    base = features_at(config.baseline_workload)
     target_row = graph.node_ids.index(target)
     keys = node_keys(graph.node_ids)
-
-    def settled(step: int, pinned: int | None = None) -> KnowledgeMap:
-        """Settle step's features: peers jitter, a pinned target is set exactly."""
-        rows = apply_fluctuation(base, config.seed, config.fluctuation, keys=keys, step=step)
-        if pinned is not None:
-            rows[target_row] = feature_vector(set_workload(base, pinned))
-        layers = init_layers(config.dimension, config.seed)  # per settle: the bench counts calls
-        return settle(graph, rows, layers, config.rounds, config.sharing_tolerance)
-
-    baseline_map = settled(0)
+    baseline_map = settle_step(config, graph, keys)
 
     centroid_distances: list[float] = []
     target_rows: list[np.ndarray] = []
     step_maps: list[KnowledgeMap] = []
     for step_index, workload in enumerate(config.sweep, start=1):
-        step_map = settled(step_index, pinned=workload)
+        step_map = settle_step(config, graph, keys, step_index, pin=(target_row, workload))
         state = step_map.states[target_row]
         centroid = aggregate(np.delete(step_map.states, target_row, axis=0))
         centroid_distances.append(float(np.linalg.norm(state - centroid)))
@@ -260,7 +262,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
 
 def write_metrics_json(path: str | Path, result: DriftResult) -> None:
     """Serialize the run summary deterministically."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(metrics_to_dict(result), handle, indent=2, sort_keys=True)
         handle.write("\n")
 

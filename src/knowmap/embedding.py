@@ -188,10 +188,10 @@ def write_csv(
 ) -> None:
     """Write the header line, then csv_rows(fields, middle, values) of every block.
 
-    The file is text in open()'s default encoding, which encodes the fields
-    too; the rows go through its binary buffer, CSV_CHUNK_ROWS at a time.
+    The file is UTF-8 text whatever the locale, and the fields are encoded
+    as UTF-8 too; the rows go through its binary buffer, CSV_CHUNK_ROWS at a time.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header + "\r\n")
         handle.flush()
         block, lengths = text_block(fields, handle.encoding)

@@ -86,7 +86,7 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
         raise NonFiniteValueError("knowledge map states and final delta must be finite")
     ids, rows = knowledge_map.node_ids, states.tolist()
     row = "    %s: [\n      " + ",\n      ".join(["%r"] * states.shape[1]) + "\n    ]"
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write('{\n  "converged": %s,\n  "entries": ' % json.dumps(knowledge_map.converged))
         for k, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
             handle.write((",\n" if k else "{\n") + row % (json.dumps(ids[i]), *rows[i]))

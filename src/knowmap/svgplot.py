@@ -159,7 +159,8 @@ def write_scatter_svg(
     points: Sequence[Sequence[float]],
     title: str = "",
 ) -> None:
-    with open(path, "w") as handle:
+    # UTF-8 whatever the locale: argv bytes the locale could not decode are written as given
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
         handle.write(render_scatter(labels, workloads, points, title))
 
 

@@ -33,10 +33,10 @@ def test_drift_without_flags_builds_the_default_config():
     assert args.out == "."
 
 
-def test_embed_without_flags_builds_the_default_config_at_tolerance_0():
-    args = build_parser().parse_args(["embed"])
-    assert drift_config(args) == DriftConfig(sharing_tolerance=0.0)
-    assert args.out == "embeddings.csv"
+def test_drift_and_embed_without_flags_build_the_default_config():
+    for command in ("drift", "embed"):
+        assert drift_config(build_parser().parse_args([command])) == DriftConfig(), command
+    assert build_parser().parse_args(["embed"]).out == "embeddings.csv"
 
 
 def test_each_config_field_is_set_by_exactly_one_drift_flag():
@@ -266,41 +266,68 @@ def test_embed_rejects_bad_workload(tmp_path):
     assert main(["embed", "--workload", "33", "--out", str(path)]) == EXIT_CONFIG
 
 
-# sha256 of `knowmap embed --topology T --nodes 9 --dim 5 --seed 3 --rounds R`.
-# A uniform load gives every node the same row, so ring and line agree; by
-# round 5 the full topology's dense neighbour sum has rounded differently.
+# sha256 of `knowmap embed --topology T --nodes 9 --dim 5 --seed 3 --rounds R`:
+# the drift baseline settle, its peers jittered by the default fluctuation, so
+# each topology's neighbourhoods give it its own rows from the input round on.
 EMBED_9_SHA256 = {
-    1: "077b7259bc5731636749c3ae673b719e1bf32dd8e184f098a59669adeef63aa3",
-    2: "562675a06bfdba50f3ef53b27b38eef7bd4815636a3e53cfec32ef65115ccafb",
-    5: "d9e2a0b7729dcc5bfeae09ddc12e18ecdbe9fba1f36e435d8dba335412965ce2",
+    "ring": {
+        1: "90cbf29e0e47a23f071d907719e1448c487f768dd56c5bd5e4a62cdb6b02acb0",
+        2: "20849b457a2a322cd581a0402c14473bc0c6c57d5a7ba63646fed2e19a5e9951",
+        5: "2a9f06b0971439f0ed04403530f3ab6ff7d52ab14840e4e40dc30671c46be6b3",
+    },
+    "full": {
+        1: "dc62819318b0ad88632cb10ae0d4b573e81e51d2c8134804b578694001d26540",
+        2: "fa6b5d5cdf83fe8af7d5c540255a281d44a19645d5cf0db86de96eb3faaef2f4",
+        5: "7ebf5c6c7cefdf8b92b228909a95b4f4180316cc5dc4d20131fbd6caca6b9674",
+    },
+    "line": {
+        1: "a577b5a61b8d9e81de3c6775dad2b450db49ab9ec04e0995c14e59857f585656",
+        2: "fc743b1b6418fe5698e927176b35238d2f3a06b3cda1e2f9e37c131d3f763c58",
+        5: "27ad33c0a2ad627474956410e7d85f837ab144fbd53b8bfa49e6267fe19ee5cf",
+    },
 }
-EMBED_9_FULL_5_SHA256 = "0537a59c8070e17448370753f57599c635770055b99b80f005418d3521918134"
 
 
-@pytest.mark.parametrize("rounds", sorted(EMBED_9_SHA256))
+@pytest.mark.parametrize("rounds", [1, 2, 5])
 @pytest.mark.parametrize("topology", ["ring", "full", "line"])
 def test_embed_csv_is_pinned(tmp_path, topology, rounds):
     path = tmp_path / "emb.csv"
     argv = ["embed", "--topology", topology, "--nodes", "9", "--dim", "5", "--seed", "3"]
     assert main(argv + ["--rounds", str(rounds), "--out", str(path)]) == EXIT_OK
-    expected = EMBED_9_SHA256[rounds]
-    if topology == "full" and rounds == 5:
-        expected = EMBED_9_FULL_5_SHA256
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EMBED_9_SHA256[topology][rounds]
 
 
-def test_embed_last_round_is_the_drift_baseline_map(tmp_path):
-    # with no fluctuation the drift baseline is embed's uniform load, and at
-    # tolerance 0 it settles through every round: the same rows, byte for byte
+@pytest.mark.parametrize("rounds", [4, 50])
+@pytest.mark.parametrize("topology", ["ring", "full", "line"])
+def test_embed_last_round_is_the_drift_baseline_map(tmp_path, topology, rounds):
+    # embed settles exactly drift's baseline and stops where it stops (at 50
+    # rounds the default tolerance ends it early): its last round is the
+    # baseline map, byte for byte
     path = tmp_path / "emb.csv"
-    shape = ["--topology", "line", "--nodes", "7", "--rounds", "4"]
-    assert main(["embed", *shape, "--out", str(path)]) == EXIT_OK
-    drift = ["drift", *shape, "--fluctuation", "0", "--tolerance", "0"]
-    assert main([*drift, "--out", str(tmp_path / "drift")]) == EXIT_OK
+    flags = ["--topology", topology, "--nodes", "7", "--rounds", str(rounds), "--seed", "5"]
+    assert main(["embed", *flags, "--workload", "30", "--out", str(path)]) == EXIT_OK
+    assert main(["drift", *flags, "--baseline", "30", "--out", str(tmp_path / "drift")]) == EXIT_OK
     header, *rows = path.read_bytes().splitlines(keepends=True)
     baseline = (tmp_path / "drift" / "embeddings_baseline.csv").read_bytes()
-    assert rows[-7:] != rows[:7]
     assert header + b"".join(rows[-7:]) == baseline
+    assert rows[-7:] != rows[:7]
+    rounds_used = json.loads((tmp_path / "drift" / KNOWLEDGE_MAP_FILE).read_text())["round"]
+    assert len(rows) == 7 * rounds_used
+    assert (rounds_used == rounds) == (rounds == 4)  # fifty rounds do not all run
+
+
+def test_embed_shows_the_topology(tmp_path):
+    # the ring's one extra link, node-8 to node-0, shows; every node keeps its own row
+    tables = {}
+    for topology in ("ring", "line"):
+        path = tmp_path / f"{topology}.csv"
+        argv = ["embed", "--topology", topology, "--nodes", "9", "--out", str(path)]
+        assert main(argv) == EXIT_OK
+        tables[topology] = path.read_bytes()
+    assert tables["ring"] != tables["line"]
+    for table in tables.values():
+        last_round = table.splitlines()[-9:]
+        assert len({row.split(b",", 2)[2] for row in last_round}) == 9
 
 
 def test_plot_round_trips_a_projection(tmp_path):
@@ -344,6 +371,22 @@ def test_python_dash_m_knowmap_runs_the_cli(tmp_path):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert all((tmp_path / name).is_file() for name in DRIFT_FILES)
+
+
+def test_plot_writes_utf8_in_an_ascii_locale(tmp_path):
+    # the C locale with neither locale coercion nor UTF-8 mode: open()'s default is ASCII
+    assert main(["drift", "--nodes", "5", "--out", str(tmp_path)]) == EXIT_OK
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C"}
+    env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    out = tmp_path / "t.svg"
+    argv = ["plot", "--projection", str(tmp_path / PROJECTION_FILE), "--title", "débit"]
+    done = subprocess.run(
+        [sys.executable, "-m", "knowmap", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert ">débit</text>" in out.read_bytes().decode("utf-8")
 
 
 # Digests of `knowmap drift --nodes 12` plus the flags below, taken from the
