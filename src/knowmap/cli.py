@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import fields
 from typing import Sequence
@@ -95,11 +96,13 @@ def _run_drift(args: argparse.Namespace) -> int:
     result = run_drift(config)
     for path in export_result(result, args.out):
         print(f"wrote {path}")
+    maps = [result.baseline_map, *result.step_maps]
     print(
         f"topology={config.topology.value} n={config.nodes} "
         f"min_distance_workload={result.metrics.min_distance_workload} "
         f"left_monotone={result.metrics.left_monotone} "
-        f"right_monotone={result.metrics.right_monotone}"
+        f"right_monotone={result.metrics.right_monotone} "
+        f"converged={sum(m.converged for m in maps)}/{len(maps)}"
     )
     return EXIT_OK
 
@@ -166,6 +169,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (KnowmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader left early: say nothing, and let the flush at exit write to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

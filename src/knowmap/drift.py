@@ -9,7 +9,6 @@ drifts as the target diverges from its peers.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,9 +27,7 @@ from .embedding import (
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
-    InvalidConfigError,
     InvalidSizeError,
-    TooFewStepsError,
     UnknownNodeError,
 )
 from .features import (
@@ -79,7 +76,7 @@ class DriftConfig:
     topology: TopologyKind = TopologyKind.RING
     nodes: int = 10
     seed: int = 42
-    target: str | None = None
+    target: str = node_name(0)
     baseline_workload: int = 50
     sweep: ClassVar[tuple[int, ...]] = SWEEP
     dimension: int = 8
@@ -118,7 +115,6 @@ class DriftResult:
 
     config: DriftConfig
     graph: KnowledgeGraph
-    target: str
     baseline_map: KnowledgeMap
     step_maps: list[KnowledgeMap]
     centroid_distances: list[float]
@@ -128,34 +124,22 @@ class DriftResult:
     projection: np.ndarray
 
 
-def trajectory_metrics(
-    workloads: Sequence[int],
-    distances: Sequence[float],
-    baseline: int,
-) -> TrajectoryMetrics:
-    """Summarize a distance curve sampled at increasing workloads.
+def trajectory_metrics(distances: Sequence[float], baseline: int) -> TrajectoryMetrics:
+    """Summarize a distance curve sampled at the SWEEP workloads.
 
     Ties at the minimum resolve to the lowest workload.  Each side of the
     baseline is tested separately: falling toward it on the left, rising
     away from it on the right, with slack for float noise.
     """
-    if len(workloads) != len(distances):
-        raise DimensionMismatchError(
-            f"{len(workloads)} workloads vs {len(distances)} distances"
-        )
-    if len(workloads) < 3:
-        raise TooFewStepsError(
-            f"need at least 3 sweep steps to assess shape, got {len(workloads)}"
-        )
-    if any(b <= a for a, b in zip(workloads, workloads[1:])):
-        raise InvalidConfigError(f"workloads must be strictly increasing, got {workloads}")
+    if len(distances) != len(SWEEP):
+        raise DimensionMismatchError(f"{len(distances)} distances vs {len(SWEEP)} sweep steps")
     best = int(np.argmin(distances))
-    left = [d for w, d in zip(workloads, distances) if w <= baseline]
-    right = [d for w, d in zip(workloads, distances) if w >= baseline]
+    left = [d for w, d in zip(SWEEP, distances) if w <= baseline]
+    right = [d for w, d in zip(SWEEP, distances) if w >= baseline]
     left_ok = all(b <= a + MONOTONE_TOLERANCE for a, b in zip(left, left[1:]))
     right_ok = all(b >= a - MONOTONE_TOLERANCE for a, b in zip(right, right[1:]))
     return TrajectoryMetrics(
-        min_distance_workload=int(workloads[best]),
+        min_distance_workload=SWEEP[best],
         left_monotone=left_ok,
         right_monotone=right_ok,
     )
@@ -181,8 +165,7 @@ def settle(
     first = embedding_round(graph, features, input_layer)
     if history is not None:
         history.append(first)
-    shared = run_sharing(graph, first, hidden_layer, rounds - 1, tolerance, history, first_round=2)
-    return dataclasses.replace(shared, rounds_used=shared.rounds_used + 1)
+    return run_sharing(graph, first, hidden_layer, rounds - 1, tolerance, history, first_round=2)
 
 
 def settle_step(config: DriftConfig, graph: KnowledgeGraph, keys: np.ndarray, step: int = 0,
@@ -201,11 +184,10 @@ def run_drift(config: DriftConfig) -> DriftResult:
     """Run the full drift experiment described by config."""
     check_count("dimension", config.dimension, 2)  # the projection has two axes
     graph = build_topology(config.topology, config.nodes)
-    target = config.target if config.target is not None else node_name(0)
-    if target not in graph.node_ids:
-        raise UnknownNodeError(f"target {target!r} is not in the graph")
+    if config.target not in graph.node_ids:
+        raise UnknownNodeError(f"target {config.target!r} is not in the graph")
 
-    target_row = graph.node_ids.index(target)
+    target_row = graph.node_ids.index(config.target)
     keys = node_keys(graph.node_ids)
     baseline_map = settle_step(config, graph, keys)
 
@@ -221,7 +203,7 @@ def run_drift(config: DriftConfig) -> DriftResult:
         step_maps.append(step_map)
 
     labels = [f"baseline:{v}" for v in graph.node_ids]
-    labels += [f"target:{target}"] * len(config.sweep)
+    labels += [f"target:{config.target}"] * len(config.sweep)
     workloads = [config.baseline_workload] * graph.node_count + list(config.sweep)
     rows = np.vstack([baseline_map.states, *target_rows])
     try:
@@ -229,12 +211,11 @@ def run_drift(config: DriftConfig) -> DriftResult:
     except DegenerateInputError:
         # A collapsed run: deep rounds over-smooth every row into one vector.
         projection = np.zeros((len(rows), 2))
-    metrics = trajectory_metrics(config.sweep, centroid_distances, config.baseline_workload)
+    metrics = trajectory_metrics(centroid_distances, config.baseline_workload)
 
     return DriftResult(
         config=config,
         graph=graph,
-        target=target,
         baseline_map=baseline_map,
         step_maps=step_maps,
         centroid_distances=centroid_distances,
@@ -250,7 +231,7 @@ def metrics_to_dict(result: DriftResult) -> dict:
     return {
         "topology": result.config.topology.value,
         "n": int(result.config.nodes),
-        "target": result.target,
+        "target": result.config.target,
         "sweep": list(result.config.sweep),
         "centroid_distance": [float(d) for d in result.centroid_distances],
         "min_distance_workload": result.metrics.min_distance_workload,

@@ -52,10 +52,6 @@ class Layer:
     def in_dim(self) -> int:
         return self.self_weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.self_weights.shape[0]
-
 
 def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer:
     """Draw both weight matrices uniformly from [-a, a], a = sqrt(6/(in+out)).
@@ -71,13 +67,13 @@ def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer
     return Layer(self_weights=self_w, neighbor_weights=neighbor_w)
 
 
-def init_layers(dimension: int, seed: int, in_dim: int = FEATURE_DIMENSION) -> tuple[Layer, Layer]:
-    """Input layer (features -> embedding) and hidden layer (embedding -> embedding).
+def init_layers(dimension: int, seed: int) -> tuple[Layer, Layer]:
+    """Input layer (FEATURE_DIMENSION -> dimension) and hidden layer (dimension -> dimension).
 
     They are drawn from streams 0 and 1 of seed.  The hidden layer is shared
     across all rounds after the first.
     """
-    input_layer = init_layer(in_dim, dimension, [seed, 0])
+    input_layer = init_layer(FEATURE_DIMENSION, dimension, [seed, 0])
     hidden_layer = init_layer(dimension, dimension, [seed, 1])
     return input_layer, hidden_layer
 

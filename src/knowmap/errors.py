@@ -30,11 +30,11 @@ class InvalidTopologyError(KnowmapError):
 
 
 class InvalidConfigError(KnowmapError, ValueError):
-    """A workload or tolerance is out of range; still a ValueError to older callers."""
+    """A workload, tolerance or node metric is out of range or not a number; still a ValueError."""
 
 
 class MagnitudeOutOfRangeError(KnowmapError):
-    """Fluctuation magnitude outside the supported [0, 0.1) range."""
+    """Fluctuation magnitude not a real number in the supported [0, 0.1) range."""
 
 
 class InvalidSeedError(KnowmapError):
@@ -63,10 +63,6 @@ class DegenerateInputError(KnowmapError):
 
 class TooFewRowsError(KnowmapError):
     """Not enough data rows to fit a projection model."""
-
-
-class TooFewStepsError(KnowmapError):
-    """Not enough sweep steps to compute trajectory metrics."""
 
 
 class MalformedCsvError(KnowmapError):

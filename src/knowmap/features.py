@@ -30,11 +30,11 @@ class NodeFeatures:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cpu_usage <= 1.0:
-            raise ValueError(f"cpu_usage must be in [0, 1], got {self.cpu_usage}")
+            raise InvalidConfigError(f"cpu_usage must be in [0, 1], got {self.cpu_usage}")
         if self.mem_total <= 0.0:
-            raise ValueError(f"mem_total must be positive, got {self.mem_total}")
+            raise InvalidConfigError(f"mem_total must be positive, got {self.mem_total}")
         if not 0.0 <= self.mem_available <= self.mem_total:
-            raise ValueError(
+            raise InvalidConfigError(
                 f"mem_available must be in [0, mem_total], got {self.mem_available}"
             )
 
@@ -50,9 +50,10 @@ def check_workload(value: int) -> int:
 
 
 def check_magnitude(value: float) -> float:
-    """Validate a fluctuation magnitude: within [0, 0.1), so NaN fails too."""
-    if not 0.0 <= value < 0.1:
-        raise MagnitudeOutOfRangeError(f"fluctuation magnitude must be in [0, 0.1), got {value}")
+    """Validate a fluctuation magnitude: a real, not a bool, in [0, 0.1), so NaN fails too."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not 0.0 <= value < 0.1:
+        raise MagnitudeOutOfRangeError(f"fluctuation magnitude must be in [0, 0.1), got {value!r}")
     return value
 
 

@@ -15,7 +15,9 @@ from .graph import KnowledgeGraph, check_count
 
 
 def check_tolerance(value: float) -> float:
-    """Validate a sharing tolerance: finite and >= 0.  Zero disables the convergence check."""
+    """Validate a sharing tolerance: a finite real >= 0, not a bool.  Zero disables the check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidConfigError(f"tolerance must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise NonFiniteValueError(f"tolerance must be finite, got {value}")
     if value < 0.0:
@@ -56,15 +58,16 @@ def run_sharing(
     all nodes update from the same pre-round snapshot, so the result is
     independent of node iteration order.  states holds one row per node in
     graph.node_ids order.  Given a history list, each round's states are
-    appended to it.  Errors number the rounds from first_round.
+    appended to it.  Rounds are numbered from first_round, in errors and in
+    rounds_used, the number of the last round run (first_round - 1 if none).
     """
     check_count("max_rounds", max_rounds, 0)
     check_tolerance(tolerance)
     current = np.asarray(states, dtype=float)
-    rounds_used, converged, final_delta = 0, False, 0.0
-    while rounds_used < max_rounds and not converged:
+    rounds_used, converged, final_delta = first_round - 1, False, 0.0
+    while rounds_used < first_round - 1 + max_rounds and not converged:
         rounds_used += 1
-        updated = embedding_round(graph, current, layer, first_round + rounds_used - 1)
+        updated = embedding_round(graph, current, layer, rounds_used)
         final_delta = states_delta(current, updated)
         current = updated
         if history is not None:

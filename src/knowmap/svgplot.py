@@ -168,7 +168,7 @@ def write_drift_svg(path: str | Path, result: "DriftResult") -> None:
     """Plot a drift run: baseline cloud plus the target's workload trajectory."""
     title = (
         f"{result.config.topology.value} n={result.config.nodes} "
-        f"target={result.target}"
+        f"target={result.config.target}"
     )
     write_scatter_svg(
         path,

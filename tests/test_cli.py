@@ -178,6 +178,10 @@ def test_summary_line_names_the_configuration(tmp_path, capsys):
     main(["drift", "--topology", "full", "--nodes", "5", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert "topology=full n=5 min_distance_workload=" in out
+    # the baseline and the 11 step settles: none converges in the default 2 rounds, all in 50
+    assert out.splitlines()[-1].endswith(" converged=0/12")
+    main(["drift", "--topology", "full", "--nodes", "5", "--rounds", "50", "--out", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" converged=12/12")
 
 
 def test_unknown_flag_exits_two():
@@ -371,6 +375,20 @@ def test_python_dash_m_knowmap_runs_the_cli(tmp_path):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert all((tmp_path / name).is_file() for name in DRIFT_FILES)
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    # the reader takes 10 bytes of a 13.5 MB topology, then closes the pipe
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "knowmap", "topology", "--kind", "full", "--nodes", "400"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == EXIT_RUNTIME
+    assert stderr == b""
 
 
 def test_plot_writes_utf8_in_an_ascii_locale(tmp_path):

@@ -93,7 +93,7 @@ def test_init_layer_is_seed_deterministic():
 
 
 def test_init_layers_shapes():
-    input_layer, hidden_layer = init_layers(6, 5, in_dim=3)
+    input_layer, hidden_layer = init_layers(6, 5)
     assert input_layer.self_weights.shape == (6, 3)
     assert hidden_layer.self_weights.shape == (6, 6)
 

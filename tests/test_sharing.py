@@ -174,7 +174,7 @@ def test_information_spreads_one_hop_per_round():
     # neighbour per synchronous round; everything farther is bit-identical
     graph = build_topology(TopologyKind.LINE, 7)
     _, hidden_layer = init_layers(8, 5)
-    dim = hidden_layer.out_dim
+    dim = hidden_layer.in_dim
     base = np.linspace(0.2, 0.9, dim)
     odd = np.linspace(0.9, 0.2, dim)
     uniform = np.tile(base / np.linalg.norm(base), (7, 1))
