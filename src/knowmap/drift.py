@@ -24,12 +24,7 @@ from .embedding import (
     init_layers,
     write_csv,
 )
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidSizeError,
-    UnknownNodeError,
-)
+from .errors import DegenerateInputError, DimensionMismatchError, InvalidConfigError
 from .features import (
     apply_fluctuation,
     check_magnitude,
@@ -92,9 +87,17 @@ class DriftConfig:
         check_count("rounds", self.rounds, 1, MAX_ROUNDS)
         check_seed(self.seed)  # also the seed of the layer weights
         check_tolerance(self.sharing_tolerance)
+        # node_name(k) for a k < nodes, so at most as many digits as nodes: no scan, no huge int.
+        index = self.target[len(node_name("")):] if isinstance(self.target, str) else ""
+        if not (index.isdecimal() and len(index) <= len(str(self.nodes))
+                and node_name(int(index)) == self.target and int(index) < self.nodes):
+            raise InvalidConfigError(
+                f"target must be a node id {node_name(0)} .. {node_name(self.nodes - 1)}, "
+                f"got {self.target!r}"
+            )
         values = int(self.nodes) * int(self.dimension) * max(int(self.rounds), 1 + len(SWEEP))
         if values > MAX_STATE_VALUES:
-            raise InvalidSizeError(
+            raise InvalidConfigError(
                 f"nodes={self.nodes} x dimension={self.dimension} x max(rounds={self.rounds}, "
                 f"{1 + len(SWEEP)}) = {values} values > MAX_STATE_VALUES = {MAX_STATE_VALUES}"
             )
@@ -184,9 +187,6 @@ def run_drift(config: DriftConfig) -> DriftResult:
     """Run the full drift experiment described by config."""
     check_count("dimension", config.dimension, 2)  # the projection has two axes
     graph = build_topology(config.topology, config.nodes)
-    if config.target not in graph.node_ids:
-        raise UnknownNodeError(f"target {config.target!r} is not in the graph")
-
     target_row = graph.node_ids.index(config.target)
     keys = node_keys(graph.node_ids)
     baseline_map = settle_step(config, graph, keys)

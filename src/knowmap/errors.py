@@ -18,31 +18,15 @@ class DuplicateEdgeError(KnowmapError):
 
 
 class UnknownNodeError(KnowmapError):
-    """A node id is empty, or names no node of the graph."""
-
-
-class InvalidSizeError(KnowmapError):
-    """A size or count is not an integer or out of range, or a topology exceeds MAX_EDGES."""
-
-
-class InvalidTopologyError(KnowmapError):
-    """A topology is not a TopologyKind member (ring, full or line)."""
+    """A node id is an empty string."""
 
 
 class InvalidConfigError(KnowmapError, ValueError):
-    """A workload, tolerance or node metric is out of range or not a number; still a ValueError."""
-
-
-class MagnitudeOutOfRangeError(KnowmapError):
-    """Fluctuation magnitude not a real number in the supported [0, 0.1) range."""
-
-
-class InvalidSeedError(KnowmapError):
-    """A seed is negative or not an integer."""
+    """A config value is of the wrong type, not finite or out of range; still a ValueError."""
 
 
 class NonFiniteValueError(KnowmapError):
-    """A configuration value is NaN or infinite."""
+    """A knowledge map to be written holds a NaN or infinite value."""
 
 
 class EmptyInputError(KnowmapError):

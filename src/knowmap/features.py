@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSeedError, MagnitudeOutOfRangeError
+from .errors import InvalidConfigError
 
 # MiB, homogeneous across nodes.  It must stay a power of two: memory enters
 # the features only as mem_available / mem_total, and scaling by a power of
@@ -29,6 +29,10 @@ class NodeFeatures:
     mem_total: float = DEFAULT_MEM_TOTAL
 
     def __post_init__(self) -> None:
+        for name in ("cpu_usage", "mem_available", "mem_total"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.cpu_usage <= 1.0:
             raise InvalidConfigError(f"cpu_usage must be in [0, 1], got {self.cpu_usage}")
         if self.mem_total <= 0.0:
@@ -37,6 +41,11 @@ class NodeFeatures:
             raise InvalidConfigError(
                 f"mem_available must be in [0, mem_total], got {self.mem_available}"
             )
+
+
+def is_real(value: object) -> bool:
+    """True for a Python or numpy int or float; a bool is not read as 0 or 1."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def check_workload(value: int) -> int:
@@ -51,16 +60,15 @@ def check_workload(value: int) -> int:
 
 def check_magnitude(value: float) -> float:
     """Validate a fluctuation magnitude: a real, not a bool, in [0, 0.1), so NaN fails too."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not real or not 0.0 <= value < 0.1:
-        raise MagnitudeOutOfRangeError(f"fluctuation magnitude must be in [0, 0.1), got {value!r}")
+    if not is_real(value) or not 0.0 <= value < 0.1:
+        raise InvalidConfigError(f"fluctuation magnitude must be in [0, 0.1), got {value!r}")
     return value
 
 
 def check_seed(value: int) -> int:
     """Validate a seed: a non-negative integer, as numpy's SeedSequence takes it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidSeedError(f"seed must be a non-negative integer, got {value!r}")
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {value!r}")
     return value
 
 

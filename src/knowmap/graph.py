@@ -20,8 +20,7 @@ import numpy as np
 from .errors import (
     DuplicateEdgeError,
     DuplicateNodeError,
-    InvalidSizeError,
-    InvalidTopologyError,
+    InvalidConfigError,
     MissingEndpointError,
     UnknownNodeError,
 )
@@ -44,13 +43,13 @@ def check_count(name: str, value: int, minimum: int, maximum: int | None = None)
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integral or value < minimum or (maximum is not None and value > maximum):
         upper = "" if maximum is None else f" and <= {maximum}"
-        raise InvalidSizeError(f"{name} must be an integer >= {minimum}{upper}, got {value!r}")
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}{upper}, got {value!r}")
 
 
 def check_topology(kind: TopologyKind, n: int, name: str | None = None) -> None:
     """Validate a topology kind, then its size n, called name: a ring needs 3 nodes, others 2."""
     if not isinstance(kind, TopologyKind):
-        raise InvalidTopologyError(f"topology {kind!r} is not a TopologyKind (ring, full or line)")
+        raise InvalidConfigError(f"topology {kind!r} is not a TopologyKind (ring, full or line)")
     check_count(name or f"{kind.value} topology size", n, 3 if kind is TopologyKind.RING else 2)
 
 
@@ -150,7 +149,7 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     size = int(n)  # a Python int, so the count cannot wrap around
     m = {TopologyKind.RING: size, TopologyKind.LINE: size - 1}.get(kind, size * (size - 1) // 2)
     if 2 * m > MAX_EDGES:
-        raise InvalidSizeError(f"{kind.value} topology on {n} nodes exceeds {MAX_EDGES} edges")
+        raise InvalidConfigError(f"{kind.value} topology on {n} nodes exceeds {MAX_EDGES} edges")
 
     names = [node_name(k) for k in range(size)]
     i = np.arange(size)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
-    InvalidSizeError,
+    InvalidConfigError,
     TooFewRowsError,
 )
 
@@ -97,9 +97,7 @@ def fit_pca(data: np.ndarray, components: int = DEFAULT_COMPONENTS) -> PCAModel:
     if m < 3:
         raise TooFewRowsError(f"need at least 3 rows to fit, got {m}")
     if not 1 <= components <= d:
-        raise InvalidSizeError(
-            f"components must be in [1, {d}], got {components}"
-        )
+        raise InvalidConfigError(f"components must be in [1, {d}], got {components}")
     if np.all(rows == rows[0]):
         raise DegenerateInputError("all rows are identical; no variance to project")
     mean = rows.mean(axis=0)

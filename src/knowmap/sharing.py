@@ -11,15 +11,16 @@ import numpy as np
 
 from .embedding import Layer, embedding_round, write_embedding_csv
 from .errors import EmptyInputError, InvalidConfigError, NonFiniteValueError
+from .features import is_real
 from .graph import KnowledgeGraph, check_count
 
 
 def check_tolerance(value: float) -> float:
     """Validate a sharing tolerance: a finite real >= 0, not a bool.  Zero disables the check."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not is_real(value):
         raise InvalidConfigError(f"tolerance must be a real number, got {value!r}")
     if not math.isfinite(value):
-        raise NonFiniteValueError(f"tolerance must be finite, got {value}")
+        raise InvalidConfigError(f"tolerance must be finite, got {value}")
     if value < 0.0:
         raise InvalidConfigError(f"tolerance must be >= 0, got {value}")
     return value

@@ -140,9 +140,12 @@ def test_drift_rejects_dimension_1_before_any_settle(tmp_path, capsys):
     assert path.read_text().splitlines()[0] == "node_id,round,e0"
 
 
-def test_drift_rejects_unknown_target(tmp_path):
+def test_drift_rejects_unknown_target(tmp_path, capsys):
     code = main(["drift", "--nodes", "5", "--target", "node-99", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: target must be a node id node-0 .. node-4, got 'node-99'\n"
+    )
 
 
 def test_help_exits_zero_and_lists_flags(capsys):

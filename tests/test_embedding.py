@@ -26,7 +26,7 @@ from knowmap.embedding import (
 from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
-    InvalidSizeError,
+    InvalidConfigError,
     ZeroVectorError,
 )
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
@@ -79,7 +79,7 @@ def test_init_layer_degenerate_shape():
     layer = init_layer(1, 1, [0, 0])
     assert layer.self_weights.shape == (1, 1)
     for in_dim, out_dim in ((0, 1), (1, 0), (2.0, 1)):
-        with pytest.raises(InvalidSizeError, match="dim must be an integer >= 1"):
+        with pytest.raises(InvalidConfigError, match="dim must be an integer >= 1"):
             init_layer(in_dim, out_dim, [0, 0])
 
 

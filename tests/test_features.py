@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from knowmap.errors import InvalidSeedError, MagnitudeOutOfRangeError
+from knowmap.errors import InvalidConfigError
 from knowmap.features import (
     DEFAULT_MEM_TOTAL,
     NodeFeatures,
@@ -28,6 +28,22 @@ def test_node_features_invariants():
     for bad in [(-0.1, 100.0, 100.0), (1.1, 100.0, 100.0), (0.5, 200.0, 100.0), (0.5, 0.0, 0.0)]:
         with pytest.raises(ValueError):
             NodeFeatures(*bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("x", 1.0), "cpu_usage must be a real number, got 'x'"),
+        ((True, 1.0), "cpu_usage must be a real number, got True"),
+        ((0.5, "y"), "mem_available must be a real number, got 'y'"),
+        ((0.5, 1.0, None), "mem_total must be a real number, got None"),
+        ((0.5, 1.0, False), "mem_total must be a real number, got False"),
+    ],
+)
+def test_node_features_rejects_a_metric_that_is_not_a_real_number(bad, message):
+    # a typed error, not a bare TypeError; a bool is not read as 0 or 1
+    with pytest.raises(InvalidConfigError, match=message):
+        NodeFeatures(*bad)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +149,7 @@ def test_zero_magnitude_is_identity():
 
 @pytest.mark.parametrize("magnitude", [0.1, 0.5, -0.01, 1.0])
 def test_magnitude_range_enforced(magnitude):
-    with pytest.raises(MagnitudeOutOfRangeError):
+    with pytest.raises(InvalidConfigError, match=r"fluctuation magnitude must be in \[0, 0.1\)"):
         apply_fluctuation(features_at(50), 42, magnitude, keys=node_keys(["n"]), step=0)
 
 
@@ -208,9 +224,9 @@ def test_node_keys_are_big_endian_digests():
 
 @pytest.mark.parametrize("bad", [-1, -(2**40), 1.5, 2.0, "3", None, True])
 def test_seed_must_be_a_non_negative_integer(bad):
-    with pytest.raises(InvalidSeedError):
+    with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
         check_seed(bad)
-    with pytest.raises(InvalidSeedError):
+    with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
         fluctuation_draws(bad, 0.02, np.zeros(1, dtype=np.uint64), 0)
 
 

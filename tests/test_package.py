@@ -1,4 +1,10 @@
-"""The package's public export list."""
+"""The package's public export list, and what importing it loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import knowmap
 
@@ -6,3 +12,25 @@ import knowmap
 def test_every_exported_name_resolves_once():
     assert [name for name in knowmap.__all__ if not hasattr(knowmap, name)] == []
     assert len(knowmap.__all__) == len(set(knowmap.__all__))
+
+
+def test_the_root_exports_only_the_run_api():
+    assert sorted(knowmap.__all__) == sorted([
+        "DriftConfig", "DriftResult", "TopologyKind", "run_drift", "export_result",
+        "KnowmapError", "__version__",
+    ])
+
+
+def test_import_loads_the_library_and_not_the_cli_or_plot():
+    # a fresh interpreter: no module-level import may join this set unnoticed
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    code = "import json, sys, knowmap; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, check=True,
+    )
+    loaded = [name for name in json.loads(out.stdout) if name.split(".")[0] == "knowmap"]
+    assert loaded == ["knowmap"] + [
+        f"knowmap.{name}"
+        for name in ("drift", "embedding", "errors", "features", "graph", "pca", "sharing")
+    ]

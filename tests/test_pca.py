@@ -6,7 +6,7 @@ import pytest
 from knowmap.errors import (
     DegenerateInputError,
     DimensionMismatchError,
-    InvalidSizeError,
+    InvalidConfigError,
     TooFewRowsError,
 )
 from knowmap.pca import fit_pca, jacobi_eigh, transform
@@ -99,9 +99,9 @@ def test_fit_pca_input_validation():
         fit_pca(np.zeros((1, 3)))
     with pytest.raises(DimensionMismatchError):
         fit_pca(np.zeros(5))
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(InvalidConfigError, match=r"components must be in \[1, 2\], got 0"):
         fit_pca(np.zeros((4, 2)), components=0)
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(InvalidConfigError, match=r"components must be in \[1, 2\], got 3"):
         fit_pca(np.zeros((4, 2)), components=3)
 
 

@@ -9,7 +9,7 @@ from knowmap.drift import settle
 from knowmap.embedding import Layer, embedding_round, init_layers
 from knowmap.errors import (
     EmptyInputError,
-    InvalidSizeError,
+    InvalidConfigError,
     NonFiniteValueError,
     ZeroVectorError,
 )
@@ -41,14 +41,14 @@ def ring_setup(n=5, dim=4, seed=3):
 def test_sharing_config_validation():
     graph, states, layer = ring_setup()
     for bad in (-1, 2.5, 2.0, True, None):
-        with pytest.raises(InvalidSizeError, match="max_rounds must be an integer >= 0"):
+        with pytest.raises(InvalidConfigError, match="max_rounds must be an integer >= 0"):
             run_sharing(graph, states, layer, bad, 0.0)
     assert run_sharing(graph, states, layer, np.int64(0), 0.0).rounds_used == 0
     for check in (check_tolerance, lambda value: run_sharing(graph, states, layer, 5, value)):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError, match="tolerance must be >= 0"):
             check(-1e-9)
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(NonFiniteValueError):
+            with pytest.raises(InvalidConfigError, match="tolerance must be finite"):
                 check(bad)
 
 
@@ -152,7 +152,7 @@ def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
         KnowledgeMap(result.node_ids, bad_states, 1, False, 0.5),
         KnowledgeMap(result.node_ids, result.states, 1, False, np.inf),
     ):
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NonFiniteValueError, match="must be finite"):
             write_knowledge_map_json(tmp_path / "map.json", bad)
 
 
