@@ -12,13 +12,11 @@ import knowmap
 def test_every_exported_name_resolves_once():
     assert [name for name in knowmap.__all__ if not hasattr(knowmap, name)] == []
     assert len(knowmap.__all__) == len(set(knowmap.__all__))
-
-
-def test_the_root_exports_only_the_run_api():
-    assert sorted(knowmap.__all__) == sorted([
+    # the run API only: every lower-level name is imported from its module
+    assert set(knowmap.__all__) == {
         "DriftConfig", "DriftResult", "TopologyKind", "run_drift", "export_result",
         "KnowmapError", "__version__",
-    ])
+    }
 
 
 def test_import_loads_the_library_and_not_the_cli_or_plot():
