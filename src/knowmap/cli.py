@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drift import DriftConfig, export_result, run_drift, settle_step
+from .drift import DriftConfig, draw_steps, export_result, run_drift, settle_step
 from .embedding import write_embedding_csv
 from .errors import KnowmapError, MalformedCsvError
 from .features import node_keys
@@ -122,7 +122,8 @@ def _run_embed(args: argparse.Namespace) -> int:
     config = drift_config(args)
     graph = build_topology(config.topology, config.nodes)
     history: list[np.ndarray] = []
-    settle_step(config, graph, node_keys(graph.node_ids), history=history)  # the drift baseline
+    (rows,) = draw_steps(config, node_keys(graph.node_ids), [0])  # the drift baseline's step
+    settle_step(config, graph, rows, history=history)
     write_embedding_csv(args.out, graph.node_ids, history)
     print(f"wrote {args.out} ({graph.node_count} nodes x {len(history)} rounds)")
     return EXIT_OK

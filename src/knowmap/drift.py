@@ -56,7 +56,11 @@ SWEEP = tuple(range(0, 101, 10))  # the paper's decade grid; every run sweeps al
 MONOTONE_TOLERANCE = 1e-9
 MAX_DIMENSION = 1024  # widest embedding DriftConfig accepts: 8 MiB a hidden layer
 MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round it runs
-MAX_STATE_VALUES = 2**29  # 4 GiB of float64: 1 + len(SWEEP) drift maps, or one map per round embed runs
+MAX_RUN_BYTES = 2**32  # 4 GiB: a node's float64 states (1 + len(SWEEP) drift maps, or a map a
+# round embed runs) plus NODE_BYTES.  knowmap drift --topology ring peaked at 209.8 MiB for
+# 10**5 nodes and 728.1 MiB for 4 * 10**5 (d = 8): 1811 bytes a node, 768 of them states.
+NODE_BYTES = 1043
+DRAW_COLUMNS = 4096  # most (step, node) columns one fluctuation draw takes; one step always fits
 
 METRICS_FILE = "metrics.json"
 PROJECTION_FILE = "projection.csv"
@@ -95,11 +99,12 @@ class DriftConfig:
                 f"target must be a node id {node_name(0)} .. {node_name(self.nodes - 1)}, "
                 f"got {self.target!r}"
             )
-        values = int(self.nodes) * int(self.dimension) * max(int(self.rounds), 1 + len(SWEEP))
-        if values > MAX_STATE_VALUES:
+        states = 8 * int(self.dimension) * max(int(self.rounds), 1 + len(SWEEP))
+        if int(self.nodes) * (states + NODE_BYTES) > MAX_RUN_BYTES:
             raise InvalidConfigError(
-                f"nodes={self.nodes} x dimension={self.dimension} x max(rounds={self.rounds}, "
-                f"{1 + len(SWEEP)}) = {values} values > MAX_STATE_VALUES = {MAX_STATE_VALUES}"
+                f"nodes={self.nodes} x (8 x dimension={self.dimension} x max(rounds={self.rounds}, "
+                f"{1 + len(SWEEP)}) + NODE_BYTES={NODE_BYTES}) = "
+                f"{int(self.nodes) * (states + NODE_BYTES)} bytes > MAX_RUN_BYTES = {MAX_RUN_BYTES}"
             )
 
 
@@ -171,14 +176,20 @@ def settle(
     return run_sharing(graph, first, hidden_layer, rounds - 1, tolerance, history, first_round=2)
 
 
-def settle_step(config: DriftConfig, graph: KnowledgeGraph, keys: np.ndarray, step: int = 0,
+def draw_steps(config: DriftConfig, keys: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+    """Feature rows of each step, (len(steps), len(keys), 3), from one fluctuation draw."""
+    base = features_at(config.baseline_workload)
+    rows = apply_fluctuation(base, config.seed, config.fluctuation,
+                             keys=np.tile(keys, len(steps)), step=np.repeat(steps, len(keys)))
+    return rows.reshape(len(steps), len(keys), 3)
+
+
+def settle_step(config: DriftConfig, graph: KnowledgeGraph, rows: np.ndarray,
                 pin: tuple[int, int] | None = None,
                 history: list[np.ndarray] | None = None) -> KnowledgeMap:
-    """Settle step's features, keyed by node_keys: peers jitter, a pin (row, workload) is exact."""
-    base = features_at(config.baseline_workload)
-    rows = apply_fluctuation(base, config.seed, config.fluctuation, keys=keys, step=step)
+    """Settle one step's draw_steps rows: peers jitter, a pin (row, workload) is exact."""
     if pin is not None:
-        rows[pin[0]] = feature_vector(set_workload(base, pin[1]))
+        rows[pin[0]] = feature_vector(set_workload(features_at(config.baseline_workload), pin[1]))
     layers = init_layers(config.dimension, config.seed)  # per settle: the bench counts calls
     return settle(graph, rows, layers, config.rounds, config.sharing_tolerance, history)
 
@@ -189,18 +200,21 @@ def run_drift(config: DriftConfig) -> DriftResult:
     graph = build_topology(config.topology, config.nodes)
     target_row = graph.node_ids.index(config.target)
     keys = node_keys(graph.node_ids)
-    baseline_map = settle_step(config, graph, keys)
-
-    centroid_distances: list[float] = []
-    target_rows: list[np.ndarray] = []
-    step_maps: list[KnowledgeMap] = []
-    for step_index, workload in enumerate(config.sweep, start=1):
-        step_map = settle_step(config, graph, keys, step_index, pin=(target_row, workload))
-        state = step_map.states[target_row]
-        centroid = aggregate(np.delete(step_map.states, target_row, axis=0))
-        centroid_distances.append(float(np.linalg.norm(state - centroid)))
-        target_rows.append(state)
-        step_maps.append(step_map)
+    # Step 0 is the baseline, step i the sweep's i-th workload.  Each group of
+    # steps is drawn just before it settles, so one group's rows exist at a time.
+    pins = [None] + [(target_row, workload) for workload in config.sweep]
+    group = max(1, DRAW_COLUMNS // graph.node_count)
+    maps: list[KnowledgeMap] = []
+    for first in range(0, len(pins), group):
+        steps = range(first, min(first + group, len(pins)))
+        for step, rows in zip(steps, draw_steps(config, keys, steps)):
+            maps.append(settle_step(config, graph, rows, pins[step]))
+    baseline_map, *step_maps = maps
+    target_rows = [step_map.states[target_row] for step_map in step_maps]
+    centroid_distances = [
+        float(np.linalg.norm(state - aggregate(np.delete(step_map.states, target_row, axis=0))))
+        for state, step_map in zip(target_rows, step_maps)
+    ]
 
     labels = [f"baseline:{v}" for v in graph.node_ids]
     labels += [f"target:{config.target}"] * len(config.sweep)
@@ -254,9 +268,10 @@ def write_projection_csv(path: str | Path, result: DriftResult) -> None:
     Baseline rows come first in node order, then the target trajectory in
     sweep order, matching the row order the projection was fitted on.
     """
+    # A workload is a small integer, which "%.17g" writes as "%d" does.
+    values = np.column_stack([result.projection_workloads, result.projection])
     labels = csv_fields(result.projection_labels)
-    fields = ["%s,%d" % row for row in zip(labels, result.projection_workloads)]
-    write_csv(path, "label,workload_pct,x,y", fields, [(b",", result.projection)])
+    write_csv(path, "label,workload_pct,x,y", labels, [(b",", values)])
 
 
 def export_result(result: DriftResult, directory: str | Path) -> list[Path]:

@@ -14,9 +14,10 @@ neighbors.  The network is fixed: the sigmoid is its one nonlinearity, so a
 row comes out all zero only where every mixed value is below about -709.8,
 where exp overflows and the sigmoid is 0.
 
-The module also writes state matrices as CSV: csv_rows builds the "%.17g"
-text of a block of rows over numpy arrays, byte for byte as Python's %
-operator writes it, instead of formatting one float at a time.
+The module also formats rows of floats for every artifact writer:
+format_rows builds the "%.17g", "%r" or "%.2f" text of a block of rows over
+numpy arrays, byte for byte as Python's % operator writes it, instead of
+formatting one float at a time.  Values it cannot prove go to Python.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def write_embedding_csv(
     """Write per-round (n x k) state matrices as CSV: node_id,round,e0..e{k-1}.
 
     Rounds are numbered from first_round.  Rows are ordered by round, then
-    node_ids order, and floats are written as "%.17g" (csv_rows) so reruns
+    node_ids order, and floats are written as "%.17g" (format_rows) so reruns
     are byte-identical.  Every snapshot must be (len(node_ids), k),
     checked before the file is opened.
     """
@@ -163,7 +164,10 @@ def csv_fields(texts: Sequence[str]) -> list[str]:
     return list(texts)
 
 
-def text_block(texts: Sequence[str], encoding: str) -> tuple[np.ndarray, np.ndarray]:
+TextBlock = tuple[np.ndarray, np.ndarray]  # zero-padded uint8 rows, and each row's byte length
+
+
+def text_block(texts: Sequence[str], encoding: str) -> TextBlock:
     """texts encoded as rows of a zero-padded uint8 block, plus each one's byte length."""
     joined = "".join(texts)
     data = joined.encode(encoding)
@@ -176,116 +180,187 @@ def text_block(texts: Sequence[str], encoding: str) -> tuple[np.ndarray, np.ndar
     return block, lengths
 
 
+def constant(text: bytes) -> TextBlock:
+    """text as a one-row text block, which format_rows writes on every row."""
+    return np.frombuffer(text, np.uint8)[None, :], np.array([len(text)])
+
+
 def write_csv(
     path: str | Path,
     header: str,
     fields: Sequence[str],
     blocks: Iterable[tuple[bytes, np.ndarray]],
 ) -> None:
-    """Write the header line, then csv_rows(fields, middle, values) of every block.
+    """Write the header line, then for every (middle, values) block the rows
+    field, middle, the "%.17g" values joined by "," and CRLF.
 
-    The file is UTF-8 text whatever the locale, and the fields are encoded
-    as UTF-8 too; the rows go through its binary buffer, CSV_CHUNK_ROWS at a time.
+    The file is UTF-8 text whatever the locale, written a chunk at a time.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(header + "\r\n")
-        handle.flush()
-        block, lengths = text_block(fields, handle.encoding)
+    field_block = text_block(fields, "utf-8")
+    with open(path, "wb") as handle:
+        handle.write(header.encode("utf-8") + b"\r\n")
         for middle, values in blocks:
-            for i in range(0, len(values), CSV_CHUNK_ROWS):
-                rows = slice(i, i + CSV_CHUNK_ROWS)
-                handle.buffer.write(csv_rows((block[rows], lengths[rows]), middle, values[rows]))
+            for chunk in format_rows([field_block, constant(middle)], values, b",", [_CRLF]):
+                handle.write(chunk)
 
 
-def csv_rows(
-    fields: tuple[np.ndarray, np.ndarray], middle: bytes, values: np.ndarray
-) -> np.ndarray:
-    """The bytes, as uint8, of each row's field, middle, "%.17g" values and CRLF.
+def format_rows(
+    head: Sequence[TextBlock],
+    values: np.ndarray,
+    separator: bytes,
+    tail: Sequence[TextBlock],
+    mode: str = "%.17g",
+) -> Iterator[np.ndarray]:
+    """The bytes, as uint8, of each row of values, CSV_CHUNK_ROWS rows a chunk.
 
-    Row i is field i, middle, ",".join("%.17g" % v for v in values[i]) and
-    CRLF; fields is a text_block.  The rows are laid out as one uint8
-    block, field, middle and one slot per value side by side, and a mask
-    keeps each text's bytes.
+    Row i is text i of every head block, separator.join(mode % v for v in
+    values[i]), then text i of every tail block; a one-row block gives every
+    row the same text.  mode is "%.17g", "%r" or "%.2f", and each value is
+    written byte for byte as Python's % operator writes it.
     """
     values = np.asarray(values, dtype=np.float64)
+    for i in range(0, len(values), CSV_CHUNK_ROWS):
+        rows = slice(i, i + CSV_CHUNK_ROWS)
+        head_rows, tail_rows = (
+            [(b, n) if len(n) == 1 else (b[rows], n[rows]) for b, n in texts]
+            for texts in (head, tail)
+        )
+        yield _rows(head_rows, values[rows], separator, tail_rows, mode)
+
+
+def _rows(
+    head: Sequence[TextBlock], values: np.ndarray, separator: bytes,
+    tail: Sequence[TextBlock], mode: str,
+) -> np.ndarray:
+    """format_rows of one chunk: the texts side by side in one uint8 block, and
+    a mask that keeps each text's bytes and every separator but a row's last."""
     rows, columns = values.shape
-    slots, spans = _format_17g(values.ravel())
-    slots[:, _SLOT - 1] = ord(",")
-    slots.reshape(rows, columns, _SLOT)[:, -1:, -1] = ord("\r")
-    field_block, lengths = fields
-    width = field_block.shape[1]
-    head = width + len(middle)
-    block = np.empty((rows, head + columns * _SLOT + 1), dtype=np.uint8)
-    block[:, :width] = field_block
-    block[:, width:head] = np.frombuffer(middle, np.uint8)
-    block[:, head:-1] = slots.reshape(rows, -1)
-    block[:, -1] = ord("\n")
+    slots, spans = _format(values.ravel(), mode, separator)
+    width = slots.shape[1] - len(separator)
+    lo = sum(text.shape[1] for text, _ in head)
+    hi = lo + columns * slots.shape[1]
+    block = np.empty((rows, hi + sum(text.shape[1] for text, _ in tail)), dtype=np.uint8)
+    block[:, lo:hi] = slots.reshape(rows, -1)
     del slots
     keep = np.ones(block.shape, dtype=bool)
-    keep[:, :width] = np.arange(width) < lengths[:, None]
-    keep[:, head:-1] = np.take(_SLOT_KEEP, spans, axis=0).reshape(rows, -1)
+    keep[:, lo:hi] = _slot_keep(spans, width, len(separator)).reshape(rows, -1)
+    keep[:, hi - len(separator) : hi] = False
+    for texts, at in ((head, 0), (tail, hi)):
+        for text, lengths in texts:
+            block[:, at : at + text.shape[1]] = text
+            if len(lengths) > 1:  # a one-row block's text fills its width
+                keep[:, at : at + text.shape[1]] = np.arange(text.shape[1]) < lengths[:, None]
+            at += text.shape[1]
     return block[keep]
 
 
-def _format_17g(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """"%.17g" % v of every v as slots[i, start:end], with spans[i] = 25 * start + end.
+def _slot_keep(spans: np.ndarray, width: int, separator: int) -> np.ndarray:
+    """Which columns of its slot each value's text, start * (width + 1) + end, and separator use."""
+    if width == _TEXT:  # one row of a small table a value
+        table = np.hstack([_TEXT_KEEP, np.ones((len(_TEXT_KEEP), separator), dtype=bool)])
+        return np.take(table, spans, axis=0)
+    start, end = (part[:, None] for part in np.divmod(spans, width + 1))
+    columns = np.arange(width + separator)
+    return (columns >= start) & (columns < end) | (columns >= width)
 
-    Column 24 of a slot is left free for the separator.
 
-    A finite value with 1e-4 <= |v| < 1e16, which %g writes in fixed
-    notation, is formatted over arrays.  Its slot holds 7 pad zeros, then its
-    17 significant digits; a '.' at column 7 + k, the integer digits of a
-    k >= 0 value moved one column left, and a '-' before the lead make the
-    text one run of columns ('-0.000' fits in the pad for k >= -4).  Every
-    other value (zero, inf, NaN, subnormal, out of range) is formatted by
-    Python and copied in, so each text is Python's.
+def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """mode % v of every v as slots[i, start:end], with spans[i] = (width + 1) * start + end.
+
+    Each slot is a text of width columns (24, or the longest text Python
+    wrote), then the separator.  A value's digits come from an exact decimal
+    integer: _digits_17 for "%.17g", _shortest's for "%r", _hundredths for
+    "%.2f".  Its slot holds 7 pad zeros, the 17 digits from column 7, a '.'
+    at column 7 + k, the integer digits of a k >= 0 value moved one column
+    left, and a '-' before the lead, so the text is one run of columns
+    ('-0.000' fits in the pad for k >= -4).  A "%.17g" value below 1e-4 is
+    laid out again as d.ddde-0k from column 1.  Every other value (zero,
+    inf, NaN, subnormal, out of range, unprovable) is formatted by Python
+    and copied in, so each text is Python's.
     """
-    magnitude = np.abs(np.where(np.isfinite(flat), flat, 0.0))
-    fast = (magnitude >= 1e-4) & (magnitude < 1e16)
+    magnitude = np.abs(flat)  # NaN fails every comparison below, so it is slow
+    if mode == "%.2f":
+        fast = magnitude < 1e13
+    else:  # double(1e-6) < 10**-6 < double(1e-4): from there on, k >= -6 and -4
+        fast = (magnitude > (1e-6 if mode == "%.17g" else 1e-4)) & (magnitude < 1e16)
     magnitude[~fast] = 1.0
-    k, lead, quads = _digits_17(magnitude)
+    if mode == "%.2f":
+        k, digits = _hundredths(magnitude)
+    else:
+        k, digits, residual = _digits_17(magnitude)
+        if mode == "%r":
+            _shortest(magnitude, k, digits, residual, fast)
+        del residual
     del magnitude
-    # The last nonzero digit: the highest nonzero byte of a word of eight
-    # digit characters minus '0', read little-endian.
-    offsets = np.searchsorted(_BYTE_STEPS, quads.view("<u8") ^ _ASCII_ZEROS, side="right")
-    last = np.where(offsets[:, 1] > 0, 8 + offsets[:, 1], offsets[:, 0])
-    end = np.where((k >= 0) & (last <= k), 7 + k, 8 + last)
-    del offsets, last
+    slow = np.flatnonzero(~fast)
+    texts = [mode % v for v in flat[slow].tolist()]
+    width = max([_TEXT, *map(len, texts)])
+    lead, quads = _digit_chars(digits)
+    del digits
+    if mode == "%.2f":
+        end = 10 + k
+    else:
+        # The last nonzero digit: the 16th for most values; where that is '0',
+        # the highest nonzero byte of a word of eight digit characters minus
+        # '0', read little-endian.
+        last = np.full(len(flat), 16)
+        zero = np.flatnonzero(quads[:, 3] < 0x31000000)
+        offsets = np.searchsorted(_BYTE_STEPS, quads[zero].view("<u8") ^ _ASCII_ZEROS, "right")
+        last[zero] = np.where(offsets[:, 1] > 0, 8 + offsets[:, 1], offsets[:, 0])
+        del offsets
+        # An integral value ends before its '.' in "%.17g", and after ".0" in "%r".
+        end = np.where((k >= 0) & (last <= k), 7 + k + 2 * (mode == "%r"), 8 + last)
 
-    slots = np.empty((len(flat), _SLOT), dtype=np.uint8)
+    slots = np.empty((len(flat), width + len(separator)), dtype=np.uint8)
+    slots[:, width:] = np.frombuffer(separator, np.uint8)
     slots[:, :7] = ord("0")
     slots[:, 7] = ord("0") + lead
     slots[:, 8:24] = quads.view(np.uint8)
     del lead, quads
     whole = np.flatnonzero(k >= 0)
-    moved = slots[whole, :24]
-    slots[whole, :23] = np.where(_COLUMNS[:23] < 7 + k[whole, None], moved[:, 1:], moved[:, :23])
-    below = np.minimum(k, 0)
-    negative = np.flatnonzero(flat < 0)
+    laid = slots[whole]
+    np.copyto(laid[:, :23], laid[:, 1:24].copy(), where=_INTEGER_DIGITS[k[whole]])
+    slots[whole] = laid
+    below = np.maximum(np.minimum(k, 0), -4)
+    negative = np.flatnonzero(np.signbit(flat))
+    stride = slots.shape[1]
     cells = slots.reshape(-1)
-    cells[np.arange(0, cells.size, _SLOT) + 7 + k] = ord(".")
-    cells[negative * _SLOT + 5 + below[negative]] = ord("-")
+    cells[np.arange(0, cells.size, stride) + 7 + k] = ord(".")
+    cells[negative * stride + 5 + below[negative]] = ord("-")
     start = 6 + below
     start[negative] -= 1
 
-    slow = np.flatnonzero(~fast)
+    tiny = np.flatnonzero(k < -4)  # a slow value's k is 0
+    if tiny.size:  # "%.17g" below 1e-4: -d.ddd from column 0, then e-05 or e-06
+        laid = slots[tiny]
+        laid[:, 1], laid[:, 2] = laid[:, 7], ord(".")
+        laid[:, 3:19] = laid[:, 8:24]
+        suffix = np.where(last[tiny] > 0, 3 + last[tiny], 2)
+        for offset, char in enumerate(b"e-0"):
+            laid[np.arange(len(tiny)), suffix + offset] = char
+        laid[np.arange(len(tiny)), suffix + 3] = ord("0") - k[tiny]
+        laid[:, 0] = ord("-")
+        slots[tiny] = laid
+        start[tiny], end[tiny] = np.where(np.signbit(flat[tiny]), 0, 1), suffix + 4
+
     if slow.size:
-        texts, lengths = text_block(["%.17g" % v for v in flat[slow].tolist()], "ascii")
+        texts, lengths = text_block(texts, "ascii")
         slots[slow, : texts.shape[1]] = texts
         start[slow], end[slow] = 0, lengths
-    return slots, start * _SLOT + end
+    return slots, start * (width + 1) + end
 
 
 def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decimal exponent k, lead digit and four 4-digit ASCII words of 17-digit magnitudes.
+    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-6, 1e16).
 
-    The digits are the integer N = magnitude * 10**(16 - k) rounded half to
-    even, with k log10's estimate corrected until 10**16 <= N < 10**17 holds
-    for the exact product.  Dekker's two-product gives that product as
-    p + err, both exact doubles; p >= 10**16 > 2**53 is an even integer, so
-    p + rint(err) is N, rounded half to even.  No N rounds up to 10**17: in
-    [1e-4, 1e16), the largest double below a power of ten lies more than 8
-    units of the 17th digit below it.
+    N = magnitude * 10**(16 - k) rounded half to even, with k log10's
+    estimate corrected until 10**16 <= N < 10**17 holds for the exact
+    product.  Dekker's two-product gives that product as p + err, both exact
+    doubles; p >= 10**16 > 2**53 is an even integer, so p + rint(err) is N,
+    rounded half to even, and the exact product is N plus the residual
+    err - rint(err).  No N rounds up to 10**17: in (1e-6, 1e16), the
+    largest double below a power of ten lies more than 8 units of the 17th
+    digit below it.
     """
     k = np.floor(np.log10(magnitude)).astype(np.intp)
     while True:
@@ -295,22 +370,73 @@ def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         if not step.any():
             break
         k += step
-    low = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    del p, err
+    rounded = np.rint(err)
+    return k, p.astype(np.int64) + rounded.astype(np.int64), err - rounded
+
+
+def _shortest(
+    magnitude: np.ndarray, k: np.ndarray, digits: np.ndarray, residual: np.ndarray,
+    fast: np.ndarray,
+) -> None:
+    """Put repr's digits, scaled to 17, in digits, and clear fast where they are not proven.
+
+    For p = 16, 15, ..., N_p = magnitude * 10**(p - 1 - k) rounded half to
+    even is the 17-digit N rounded to p digits, the residual settling where
+    N's dropped digits are exactly half a unit.  p digits read back as
+    magnitude when N_p / 10**(p - 1 - k) == magnitude: one correctly rounded
+    division.  Once p fails, fewer digits fail too (the nearest shorter
+    decimal is no closer), so the last p that held is repr's; a power of
+    two, whose gap below is half the gap above, is no exception in this
+    range (tested on each).  An exact tie and an N_p above 2**53 are left
+    to Python.  A carry to 10**p never reads back, and a value of 10**p or
+    more stops at its k + 1 integer digits, which print the same.
+    """
+    live, seventeen = np.flatnonzero(fast), digits.copy()
+    for p in range(16, 0, -1):
+        scale = 10 ** (17 - p)
+        n, dropped = np.divmod(seventeen[live], scale)
+        side = (dropped - scale // 2) + residual[live]  # the sign of a sum of two doubles is exact
+        n += side > 0
+        exponent = p - 1 - k[live]
+        unsure = (side == 0) | (n > 2**53)
+        fast[live[unsure]] = False
+        held = ~unsure & (exponent >= 0) & (n / _POW10[exponent] == magnitude[live])
+        live = live[held]
+        if not live.size:
+            break
+        digits[live] = n[held] * scale
+
+
+def _hundredths(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k and 17 digits of N = 100 * magnitude rounded half to even: "%.2f" writes N / 100.
+
+    With p + err = 100 * magnitude exactly and f = p - floor(p),
+    N = floor(p) + (f > 1/2 or f = 1/2 and err > 0), and an exact tie goes
+    to the even neighbour.  k + 1 is N's count of integer digits, at least 1.
+    """
+    p, err = _times_power_of_ten(magnitude, 2)
+    n = np.floor(p)
+    half = p - n - 0.5
+    n = n.astype(np.int64)
+    n += (half > 0) | ((half == 0) & ((err > 0) | ((err == 0) & (n & 1 == 1))))
+    size = np.maximum(np.searchsorted(_POWERS, n, side="right"), 3)
+    return size - 3, n * _POWERS[17 - size]
+
+
+def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lead digit and four 4-digit ASCII words of each integer in [0, 10**17)."""
     # One true division; each other quotient is x * m >> s, which equals
     # x // d over the range of x.  Remainders are taken in place.
-    high = low // 10**8
-    low -= high * 10**8
+    high = digits // 10**8
+    low = digits - high * 10**8
     lead = high * 1441151881 >> 57  # high // 10**8 for high < 10**9
     high -= lead * 10**8
-    eights = np.stack([high, low], 1)
-    del high, low
-    upper = eights * 109951163 >> 40  # eights // 10**4 for eights < 10**8
-    eights -= upper * 10**4
-    quads = np.empty((len(k), 2, 2), dtype=np.uint32)
-    quads[:, :, 0] = _DIGIT_QUADS[upper]
-    quads[:, :, 1] = _DIGIT_QUADS[eights]
-    return k, lead, quads.reshape(-1, 4)
+    quads = np.empty((len(digits), 4), dtype=np.uint32)
+    for column, eight in ((0, high), (2, low)):
+        upper = eight * 109951163 >> 40  # eight // 10**4 for eight < 10**8
+        quads[:, column] = _DIGIT_QUADS[upper]
+        quads[:, column + 1] = _DIGIT_QUADS[eight - upper * 10**4]
+    return lead, quads
 
 
 def _times_power_of_ten(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,18 +449,21 @@ def _times_power_of_ten(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray
     return p, x_lo * y_lo - (((p - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
 
 
-CSV_CHUNK_ROWS = 512  # rows a write; with the dels above, a chunk peaks near 0.5 MB of heap
+CSV_CHUNK_ROWS = 512  # rows a chunk; with the dels above, a chunk peaks near 0.5 MB of heap
 _CSV_SPECIAL = re.compile('[,"\r\n]')
-_SLOT = 25
-_COLUMNS = np.arange(_SLOT)
-# Row 25 * start + end: which slot columns a text from start to end, and the separator, use.
-_SLOT_KEEP = (_COLUMNS >= np.arange(8)[:, None, None]) & (_COLUMNS < _COLUMNS[:, None])
-_SLOT_KEEP = (_SLOT_KEEP | (_COLUMNS == _SLOT - 1)).reshape(-1, _SLOT)
+_CRLF = constant(b"\r\n")
+_TEXT = 24  # a slot's text columns: 7 pad, then 17 digits
+_COLUMNS = np.arange(_TEXT + 1)
+# Row 25 * start + end: which of its 24 columns a text from start to end uses.
+_TEXT_KEEP = _COLUMNS[:_TEXT] >= np.arange(8)[:, None, None]
+_TEXT_KEEP = (_TEXT_KEEP & (_COLUMNS[:_TEXT] < _COLUMNS[:, None])).reshape(-1, _TEXT)
+_INTEGER_DIGITS = _COLUMNS[:23] < 7 + np.arange(17)[:, None]  # row k: the columns moved left
 # "0000".."9999" as 4-byte words
 _DIGIT_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
 _DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
 _BYTE_STEPS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-_POW10 = np.array([float(10**j) for j in range(22)])  # each exact in float64
+_POW10 = np.array([float(10**j) for j in range(23)])  # each exact in float64
+_POWERS = 10 ** np.arange(18, dtype=np.int64)  # the same as int64, up to 10**17
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI

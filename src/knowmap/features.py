@@ -104,11 +104,11 @@ def apply_fluctuation(
     magnitude: float,
     *,
     keys: np.ndarray,
-    step: int,
+    step: int | np.ndarray,
 ) -> np.ndarray:
-    """Feature rows, one per stream key, of features jittered by uniform draws in ±magnitude.
+    """Feature rows, one per (key, step) column, of features jittered by draws in ±magnitude.
 
-    CPU and memory are scaled by (1 + u) with u drawn from the node's own
+    CPU and memory are scaled by (1 + u) with u drawn from the column's own
     stream, seeded by (seed, node_keys key, step), so the same inputs always
     give the same rows.  Results are clamped back into the metric invariants.
     """
@@ -130,26 +130,29 @@ def feature_vector(features: NodeFeatures) -> np.ndarray:
 
 
 def fluctuation_draws(
-    seed: int, magnitude: float, keys: np.ndarray, step: int
+    seed: int, magnitude: float, keys: np.ndarray, step: int | np.ndarray
 ) -> np.ndarray:
-    """Two uniform draws in ±magnitude per stream key, shape (len(keys), 2).
+    """Two uniform draws in ±magnitude per column, shape (len(keys), 2).
 
-    Row i equals, bit for bit,
-    ``default_rng(SeedSequence([seed, 0xF1, keys[i], step])).uniform(-magnitude,
+    Column i is stream key keys[i] at step[i]; a scalar step is every
+    column's.  Row i equals, bit for bit,
+    ``default_rng(SeedSequence([seed, 0xF1, keys[i], step[i]])).uniform(-magnitude,
     magnitude, size=2)``: numpy's seeding and PCG64 generator are replayed
-    here over arrays, one pass for every key of the same entropy length.
+    here over arrays, one pass for every column of the same entropy length.
     """
     check_magnitude(magnitude)
     keys = np.asarray(keys, dtype=np.uint64)
-    head, tail = _words(seed) + [_FLUCTUATION_STREAM], _words(step)
-    key_words = np.stack([keys & _MASK32, keys >> 32]).astype(np.uint32)
+    steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), keys.shape)
+    head = _words(seed) + [_FLUCTUATION_STREAM]
     raw = np.empty((len(keys), 2), dtype=np.uint64)
-    # SeedSequence drops a key's zero high word, so short keys hash one word fewer.
-    for width, rows in ((1, keys <= _MASK32), (2, keys > _MASK32)):
-        if rows.any():
-            entropy = np.array(head + [0] * width + tail, dtype=np.uint32)[:, None]
-            entropy = entropy.repeat(np.count_nonzero(rows), axis=1)
-            entropy[len(head) : len(head) + width] = key_words[:width, rows]
+    # SeedSequence drops a zero high word, so a key or step below 2**32 hashes one word fewer.
+    wide = (keys > _MASK32) + 2 * (steps > _MASK32)
+    for code in range(4):
+        rows = np.flatnonzero(wide == code)
+        if rows.size:
+            entropy = [np.full(rows.size, word, dtype=np.uint32) for word in head]
+            for words, width in ((keys[rows], 1 + code % 2), (steps[rows], 1 + code // 2)):
+                entropy += [(words >> shift).astype(np.uint32) for shift in (0, 32)[:width]]
             raw[rows] = _pcg64_outputs(_seed_state(entropy), 2)
     low, high = -magnitude, magnitude
     return low + (high - low) * ((raw >> 11) * 2.0**-53)
@@ -188,11 +191,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence(column).generate_state(4, uint64) for every column of entropy.
 
-    entropy is (words, n) uint32 with at least as many words as the pool, as
-    seed, stream tag, key and step always give.  Returns the four uint64
+    entropy is a list of (n,) uint32 words, at least as many as the pool,
+    as seed, stream tag, key and step always give.  Returns the four uint64
     state words, each (n,).
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
@@ -206,8 +209,12 @@ def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+    # Eight 32-bit outputs in order, paired low then high: two alive at a time.
+    return [
+        hashmix(pool[2 * k % _POOL_SIZE]).astype(np.uint64)
+        | (hashmix(pool[(2 * k + 1) % _POOL_SIZE]).astype(np.uint64) << 32)
+        for k in range(4)
+    ]
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

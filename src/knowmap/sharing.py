@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import Layer, embedding_round, write_embedding_csv
+from .embedding import (
+    Layer,
+    constant,
+    embedding_round,
+    format_rows,
+    text_block,
+    write_embedding_csv,
+)
 from .errors import EmptyInputError, InvalidConfigError, NonFiniteValueError
 from .features import is_real
 from .graph import KnowledgeGraph, check_count
@@ -84,18 +91,27 @@ def run_sharing(
 
 
 def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> None:
-    """Write json.dump(indent=2, sort_keys=True) text from one row template; floats as repr."""
+    """Write json.dump(indent=2, sort_keys=True) text, one entry a row; floats as repr."""
     states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
     if not (np.isfinite(states).all() and math.isfinite(final_delta)):  # repr would write nan
         raise NonFiniteValueError("knowledge map states and final delta must be finite")
-    ids, rows = knowledge_map.node_ids, states.tolist()
-    row = "    %s: [\n      " + ",\n      ".join(["%r"] * states.shape[1]) + "\n    ]"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{\n  "converged": %s,\n  "entries": ' % json.dumps(knowledge_map.converged))
-        for k, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-            handle.write((",\n" if k else "{\n") + row % (json.dumps(ids[i]), *rows[i]))
-        handle.write(("\n  }" if ids else "{}") + ',\n  "final_delta": %r,\n' % final_delta)
-        handle.write('  "round": %d\n}\n' % knowledge_map.rounds_used)
+    ids = knowledge_map.node_ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    opening = np.full((len(ids), 1), ord(","), dtype=np.uint8)
+    opening[:1] = ord("{")  # the first entry opens the object
+    head = [
+        (opening, np.ones(len(ids), dtype=np.intp)),
+        constant(b"\n    "),
+        text_block([encode_basestring_ascii(ids[i]) for i in order], "ascii"),
+        constant(b": [\n      "),
+    ]
+    with open(path, "wb") as handle:
+        converged = b"true" if knowledge_map.converged else b"false"
+        handle.write(b'{\n  "converged": %s,\n  "entries": ' % converged)
+        for chunk in format_rows(head, states[order], b",\n      ", [constant(b"\n    ]")], "%r"):
+            handle.write(chunk)
+        handle.write((b"\n  }" if ids else b"{}") + b',\n  "final_delta": %r,\n' % final_delta)
+        handle.write(b'  "round": %d\n}\n' % knowledge_map.rounds_used)
 
 
 def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap) -> None:

@@ -1,6 +1,7 @@
 """Static SVG scatter of a drift projection.
 
-Pure string assembly, no drawing library.  One circle per projected row;
+Pure string assembly, no drawing library; coordinates are formatted over
+arrays (embedding.format_rows).  One circle per projected row;
 legend swatches are rectangles so circles count exactly the data points.
 """
 
@@ -9,6 +10,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
+from .embedding import constant, format_rows
 from .errors import DimensionMismatchError, EmptyInputError
 
 if TYPE_CHECKING:
@@ -44,17 +48,6 @@ def workload_color(workload: int) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-def _spans(points: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    # Degenerate spans still need a nonzero extent to place points.
-    x_pad = (x_max - x_min) * 0.05 or 0.5
-    y_pad = (y_max - y_min) * 0.05 or 0.5
-    return x_min - x_pad, x_max + x_pad, y_min - y_pad, y_max + y_pad
-
-
 def render_scatter(
     labels: Sequence[str],
     workloads: Sequence[int],
@@ -71,15 +64,20 @@ def render_scatter(
         raise DimensionMismatchError("labels, workloads, and points must align")
     if len(points) == 0:
         raise EmptyInputError("nothing to plot")
-    x_lo, x_hi, y_lo, y_hi = _spans(points)
+    xs, ys = np.asarray(points, dtype=float)[:, :2].T
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def sx(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y: float) -> float:
-        return MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+    # Python's order of operations, over arrays: the same doubles as one point at a time.
+    spans = []
+    for values in (xs, ys):
+        low, high = float(values.min()), float(values.max())
+        pad = (high - low) * 0.05 or 0.5  # a degenerate span still needs an extent
+        spans += [low - pad, high + pad]
+    x_lo, x_hi, y_lo, y_hi = spans
+    centers = np.column_stack([
+        MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w,
+        MARGIN_TOP + (1.0 - (ys - y_lo) / (y_hi - y_lo)) * plot_h,
+    ])
 
     parts: list[str] = []
     parts.append(
@@ -106,30 +104,31 @@ def render_scatter(
         f'transform="rotate(-90 18 {HEIGHT / 2:.2f})">component 2</text>'
     )
 
-    trajectory = [
-        (sx(float(p[0])), sy(float(p[1])))
-        for label, p in zip(labels, points)
-        if label.startswith(TARGET_PREFIX)
-    ]
+    # Every coordinate as "%.2f" text, x then y of each row, in one array pass.
+    rows = format_rows([], centers, b" ", [constant(b" ")], "%.2f")
+    coordinates = b"".join(rows).decode("ascii").split(" ")
+    cxs, cys = coordinates[0:-1:2], coordinates[1::2]
+    target = [label.startswith(TARGET_PREFIX) for label in labels]
+    trajectory = [f"{x},{y}" for x, y, is_target in zip(cxs, cys, target) if is_target]
     if len(trajectory) >= 2:
-        joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in trajectory)
         parts.append(
-            f'<polyline points="{joined}" fill="none" stroke="#666666" '
+            f'<polyline points="{" ".join(trajectory)}" fill="none" stroke="#666666" '
             f'stroke-width="1"/>'
         )
 
-    for label, workload, point in zip(labels, workloads, points):
-        cx, cy = sx(float(point[0])), sy(float(point[1]))
-        tooltip = f"<title>{escape(label)} ({int(workload)}%)</title>"
-        if label.startswith(TARGET_PREFIX):
+    joined = "".join(labels)
+    names = labels if escape(joined) == joined else [escape(label) for label in labels]
+    for name, workload, cx, cy, is_target in zip(names, workloads, cxs, cys, target):
+        tooltip = f"<title>{name} ({int(workload)}%)</title>"
+        if is_target:
             color = workload_color(int(workload))
             parts.append(
-                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" fill="{color}" '
+                f'<circle cx="{cx}" cy="{cy}" r="5" fill="{color}" '
                 f'stroke="#333333" stroke-width="0.8">{tooltip}</circle>'
             )
         else:
             parts.append(
-                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{BASELINE_FILL}" '
+                f'<circle cx="{cx}" cy="{cy}" r="4" fill="{BASELINE_FILL}" '
                 f'fill-opacity="0.45">{tooltip}</circle>'
             )
 

@@ -224,12 +224,13 @@ def test_topology_rejects_invalid_size(capsys):
     "argv",
     [
         ["topology", "--kind", "full", "--nodes", "3163"],
-        ["embed", "--topology", "ring", "--nodes", "5000001"],
-        ["drift", "--topology", "line", "--nodes", "5000002"],
+        ["embed", "--topology", "full", "--nodes", "3163"],
+        ["drift", "--topology", "full", "--nodes", "3163"],
     ],
 )
 def test_more_than_max_edges_is_a_config_error(argv, tmp_path, capsys):
-    # each size is one past the largest MAX_EDGES admits, so nothing is built
+    # each size is one past the largest MAX_EDGES admits, so nothing is built; a ring
+    # or line that large is past drift.MAX_RUN_BYTES first
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "edges" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -239,7 +240,7 @@ def test_more_state_values_than_max_is_a_config_error(tmp_path, capsys):
     # a 1000-round embed of 1000 nodes at dim 1024 would keep 8 GB of rounds
     argv = ["embed", "--nodes", "1000", "--dim", "1024", "--rounds", "1000"]
     assert main([*argv, "--out", str(tmp_path / "emb.csv")]) == EXIT_CONFIG
-    assert "MAX_STATE_VALUES" in capsys.readouterr().err
+    assert "MAX_RUN_BYTES" in capsys.readouterr().err
     assert not (tmp_path / "emb.csv").exists()
 
 

@@ -8,14 +8,18 @@ import math
 import numpy as np
 import pytest
 
+import knowmap.drift
 from knowmap.drift import (
+    DRAW_COLUMNS,
     MAX_DIMENSION,
     MAX_ROUNDS,
-    MAX_STATE_VALUES,
+    MAX_RUN_BYTES,
+    NODE_BYTES,
     METRICS_FILE,
     SWEEP,
     DriftConfig,
     TrajectoryMetrics,
+    draw_steps,
     export_result,
     run_drift,
     settle,
@@ -25,7 +29,8 @@ from knowmap.drift import (
 )
 from knowmap.errors import DimensionMismatchError, InvalidConfigError, KnowmapError
 from knowmap.embedding import init_layers
-from knowmap.graph import TopologyKind, build_topology
+from knowmap.features import node_keys
+from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import check_tolerance
 
 
@@ -181,8 +186,8 @@ def test_config_rejects_an_absurd_size(field, value):
 def test_config_accepts_the_largest_sizes():
     config = DriftConfig(dimension=MAX_DIMENSION, rounds=MAX_ROUNDS)
     assert (config.dimension, config.rounds) == (1024, 1000)
-    assert 2**22 * 8 * 16 == MAX_STATE_VALUES == 2**29
-    DriftConfig(nodes=2**22, dimension=8, rounds=16)
+    assert MAX_RUN_BYTES == 2**32
+    DriftConfig(nodes=MAX_RUN_BYTES // (8 * 8 * 16 + NODE_BYTES), dimension=8, rounds=16)
 
 
 @pytest.mark.parametrize(
@@ -190,13 +195,14 @@ def test_config_accepts_the_largest_sizes():
     [
         dict(nodes=5_000_000, dimension=1024),  # 41 GB a state matrix
         dict(nodes=1000, dimension=1024, rounds=1000),  # knowmap embed keeps every round
-        dict(nodes=2**22 + 1, dimension=8, rounds=16),  # one node past the bound
+        dict(nodes=MAX_RUN_BYTES // (8 * 8 * 16 + NODE_BYTES) + 1, dimension=8, rounds=16),
         dict(nodes=2**22, dimension=11),  # run_drift keeps 1 + len(SWEEP) maps at any rounds
+        dict(nodes=5_000_000),  # 4.8e8 state values: 6.5 GB resident when only those were bounded
     ],
 )
 def test_config_rejects_more_state_values_than_max(sizes):
     # rejected at construction: nothing of the absurd size is allocated
-    with pytest.raises(InvalidConfigError, match="MAX_STATE_VALUES") as raised:
+    with pytest.raises(InvalidConfigError, match="MAX_RUN_BYTES") as raised:
         DriftConfig(**sizes)
     for field, value in sizes.items():
         assert f"{field}={value}" in str(raised.value)
@@ -510,3 +516,41 @@ def test_settle_history_holds_every_round(tolerance):
         assert kmap.rounds_used == 10 and not kmap.converged
     else:
         assert 1 < kmap.rounds_used < 10 and kmap.converged
+
+
+@pytest.mark.parametrize("nodes", [1, 4095, 4096, 4097])
+def test_grouped_draw_rows_equal_one_step_rows(nodes):
+    # a seed of 2**64 or more splits into three SeedSequence words
+    config = DriftConfig(seed=2**64 + 3, fluctuation=0.05)
+    keys = node_keys([node_name(i) for i in range(nodes)])
+    steps = range(1 + len(SWEEP))
+    grouped = draw_steps(config, keys, steps)
+    one_step = np.stack([draw_steps(config, keys, [step])[0] for step in steps])
+    assert grouped.shape == (len(steps), nodes, 3)
+    assert grouped.tobytes() == one_step.tobytes()
+
+
+@pytest.mark.parametrize(
+    "nodes, columns",
+    [
+        (300, [3600]),  # every step in one draw
+        (341, [4092]),  # 12 steps of 341 fit the budget
+        (342, [3762, 342]),  # 11 steps, then the last
+        (600, [3600, 3600]),
+        (4096, [4096] * 12),  # one step a draw at the budget
+        (4097, [4097] * 12),  # a step wider than the budget is still one draw
+    ],
+)
+def test_run_drift_draws_whole_steps_within_the_budget(monkeypatch, nodes, columns):
+    calls = []
+
+    original = knowmap.drift.apply_fluctuation
+
+    def counted(features, seed, magnitude, *, keys, step):
+        calls.append(len(keys))
+        return original(features, seed, magnitude, keys=keys, step=step)
+
+    monkeypatch.setattr(knowmap.drift, "apply_fluctuation", counted)
+    knowmap.drift.run_drift(DriftConfig(nodes=nodes, rounds=1))
+    assert calls == columns
+    assert all(c <= DRAW_COLUMNS or c == nodes for c in calls)

@@ -15,9 +15,10 @@ from knowmap.embedding import (
     CSV_CHUNK_ROWS,
     Layer,
     aggregate,
+    constant,
     csv_field,
-    csv_rows,
     embedding_round,
+    format_rows,
     init_layer,
     init_layers,
     text_block,
@@ -416,15 +417,16 @@ def test_embedding_csv_rejects_mismatched_snapshots_before_opening(tmp_path):
         assert not path.exists()
 
 
-def python_rows(rows):
-    """What csv_rows must equal: Python's "%.17g" of every value, rows ended by CRLF."""
-    return b"".join((",".join("%.17g" % v for v in row) + "\r\n").encode() for row in rows)
+def python_rows(rows, mode="%.17g"):
+    """What format_rows must equal: Python's mode of every value, rows ended by CRLF."""
+    return b"".join((",".join(mode % v for v in row) + "\r\n").encode() for row in rows)
 
 
-def bare_rows(values):
-    """csv_rows of values with an empty field and middle."""
+def bare_rows(values, mode="%.17g"):
+    """format_rows of values with an empty head and a CRLF tail."""
     values = np.asarray(values, dtype=np.float64)
-    return csv_rows(text_block([""] * len(values), "ascii"), b"", values).tobytes()
+    head = [text_block([""] * len(values), "ascii")]
+    return b"".join(format_rows(head, values, b",", [constant(b"\r\n")], mode))
 
 
 fixed_notation = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
@@ -472,6 +474,36 @@ def test_csv_rows_at_powers_of_ten_and_the_fixed_notation_edges():
     values = np.concatenate([values, -values])
     rows = values.reshape(-1, 2)
     assert bare_rows(rows) == python_rows(rows.tolist())
+
+
+sign = st.sampled_from([1.0, -1.0])
+decades = st.integers(-7, 16).flatmap(lambda e: st.floats(10.0**e, 10.0 ** (e + 1)))
+mode_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(sign, decades).map(lambda t: t[0] * t[1]),
+    st.tuples(st.floats(0, 1e6), st.integers(0, 7)).map(lambda t: round(*t)),  # short decimals
+    st.integers(-(2**13), 2**13).map(lambda i: i / 8),  # "%.2f" ties at k/8
+    st.tuples(sign, st.integers(-60, 60)).map(lambda t: t[0] * 2.0 ** t[1]),
+)
+
+
+@pytest.mark.parametrize("mode", ["%.17g", "%r", "%.2f"])
+@given(values=st.lists(mode_values, min_size=1, max_size=24))
+@example(values=[0.1, 1e-5, 9.999999999999999e-05, 1e16, 2.0**53, 0.125, 0.375, 1e21, 5e-324])
+def test_each_mode_writes_pythons_text(mode, values):
+    rows = np.array(values)[:, None]
+    assert bare_rows(rows, mode) == python_rows(rows.tolist(), mode)
+
+
+@pytest.mark.parametrize("mode", ["%.17g", "%r", "%.2f"])
+def test_each_mode_writes_pythons_text_for_random_doubles_and_powers_of_two(mode):
+    # 17-digit values, a tenth of them a tie at 16 digits, which hypothesis rarely draws
+    rng = np.random.default_rng(17)
+    values = rng.uniform(1, 10, 9600) * 10.0 ** rng.integers(-7, 17, 9600)
+    values[::3] *= -1
+    powers = [2.0**e for e in range(-24, 56)]  # every one in the "%r" range, and beyond
+    rows = np.concatenate([values, powers]).reshape(-1, 8)
+    assert bare_rows(rows, mode) == python_rows(rows.tolist(), mode)
 
 
 def per_row_embedding_csv(path, node_ids, snapshots, first_round=1):

@@ -233,3 +233,17 @@ def test_seed_must_be_a_non_negative_integer(bad):
 @pytest.mark.parametrize("good", [0, 2**64, np.uint32(5), np.int64(9)])
 def test_seed_accepts_integers(good):
     assert check_seed(good) == good
+
+
+@pytest.mark.parametrize("columns", [1, 4095, 4096, 4097])
+def test_per_column_steps_match_numpy_generator(columns):
+    # one step a column, wide ones included, and a seed of 2**64 or more
+    seed, magnitude = 2**64 + 11, 0.05
+    rng = np.random.default_rng(columns)
+    keys = rng.integers(0, 2**64, columns, dtype=np.uint64)
+    keys[::7] >>= 32  # one entropy word fewer
+    steps = rng.integers(0, 12, columns, dtype=np.uint64)
+    steps[::5] += np.uint64(2**40)
+    got = fluctuation_draws(seed, magnitude, keys, steps)
+    expected = [numpy_draws(seed, magnitude, int(k), int(s)) for k, s in zip(keys, steps)]
+    assert got.tobytes() == np.array(expected).tobytes()
