@@ -318,9 +318,10 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, 
     slots[:, 8:24] = quads.view(np.uint8)
     del lead, quads
     whole = np.flatnonzero(k >= 0)
-    laid = slots[whole]
-    np.copyto(laid[:, :23], laid[:, 1:24].copy(), where=_INTEGER_DIGITS[k[whole]])
-    slots[whole] = laid
+    if whole.size:
+        laid = slots[whole]
+        np.copyto(laid[:, :23], laid[:, 1:24].copy(), where=_INTEGER_DIGITS[k[whole]])
+        slots[whole] = laid
     below = np.maximum(np.minimum(k, 0), -4)
     negative = np.flatnonzero(np.signbit(flat))
     stride = slots.shape[1]
@@ -344,8 +345,8 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, 
         start[tiny], end[tiny] = np.where(np.signbit(flat[tiny]), 0, 1), suffix + 4
 
     if slow.size:
-        texts, lengths = text_block(texts, "ascii")
-        slots[slow, : texts.shape[1]] = texts
+        block, lengths = text_block(texts, "ascii")
+        slots[slow, : block.shape[1]] = block
         start[slow], end[slow] = 0, lengths
     return slots, start * (width + 1) + end
 
@@ -365,6 +366,8 @@ def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     k = np.floor(np.log10(magnitude)).astype(np.intp)
     while True:
         p, err = _times_power_of_ten(magnitude, 16 - k)
+        if not ((p <= 1e16) | (p >= 1e17)).any():  # every N in range, none at an edge
+            break
         step = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.intp)
         step -= (p < 1e16) | ((p == 1e16) & (err < 0))
         if not step.any():
@@ -426,7 +429,7 @@ def _hundredths(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lead digit and four 4-digit ASCII words of each integer in [0, 10**17)."""
     # One true division; each other quotient is x * m >> s, which equals
-    # x // d over the range of x.  Remainders are taken in place.
+    # x // d over the range of x.
     high = digits // 10**8
     low = digits - high * 10**8
     lead = high * 1441151881 >> 57  # high // 10**8 for high < 10**9
