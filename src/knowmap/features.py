@@ -209,12 +209,8 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    # Eight 32-bit outputs in order, paired low then high: two alive at a time.
-    return [
-        hashmix(pool[2 * k % _POOL_SIZE]).astype(np.uint64)
-        | (hashmix(pool[(2 * k + 1) % _POOL_SIZE]).astype(np.uint64) << 32)
-        for k in range(4)
-    ]
+    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
