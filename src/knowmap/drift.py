@@ -57,8 +57,13 @@ MONOTONE_TOLERANCE = 1e-9
 MAX_DIMENSION = 1024  # widest embedding DriftConfig accepts: 8 MiB a hidden layer
 MAX_ROUNDS = 1000  # most rounds DriftConfig accepts; knowmap embed keeps every round it runs
 MAX_RUN_BYTES = 2**32  # 4 GiB: a node's float64 states (1 + len(SWEEP) drift maps, or a map a
-# round embed runs) plus NODE_BYTES.  knowmap drift --topology ring peaked at 209.8 MiB for
-# 10**5 nodes and 728.1 MiB for 4 * 10**5 (d = 8): 1811 bytes a node, 768 of them states.
+# round embed runs), SCRATCH_STATES more of them, and NODE_BYTES.  knowmap drift --topology
+# ring peaked at 209.8 / 728.1 MiB for 10**5 / 4 * 10**5 nodes at d = 8, 136.4 / 435.2 MiB
+# for 2500 / 10**4 at d = 256 and 250.9 / 676.7 MiB for 1000 / 4000 at d = 1024: 1811,
+# 41775 and 148828 bytes a node, plus 37, 37 and 109 MiB fixed.  The bound counts 2387,
+# 44051 and 173075 bytes, so at the most nodes it admits those peaks extrapolate to 3.1,
+# 3.8 and 3.5 GiB.
+SCRATCH_STATES = 9  # n x d float64 arrays at the peak beside the kept states, fitted above
 NODE_BYTES = 1043
 DRAW_COLUMNS = 4096  # most (step, node) columns one fluctuation draw takes; one step always fits
 
@@ -99,12 +104,13 @@ class DriftConfig:
                 f"target must be a node id {node_name(0)} .. {node_name(self.nodes - 1)}, "
                 f"got {self.target!r}"
             )
-        states = 8 * int(self.dimension) * max(int(self.rounds), 1 + len(SWEEP))
-        if int(self.nodes) * (states + NODE_BYTES) > MAX_RUN_BYTES:
+        maps = max(int(self.rounds), 1 + len(SWEEP)) + SCRATCH_STATES
+        run_bytes = int(self.nodes) * (8 * int(self.dimension) * maps + NODE_BYTES)
+        if run_bytes > MAX_RUN_BYTES:
             raise InvalidConfigError(
-                f"nodes={self.nodes} x (8 x dimension={self.dimension} x max(rounds={self.rounds}, "
-                f"{1 + len(SWEEP)}) + NODE_BYTES={NODE_BYTES}) = "
-                f"{int(self.nodes) * (states + NODE_BYTES)} bytes > MAX_RUN_BYTES = {MAX_RUN_BYTES}"
+                f"nodes={self.nodes} x (8 x dimension={self.dimension} x (max(rounds="
+                f"{self.rounds}, {1 + len(SWEEP)}) + SCRATCH_STATES={SCRATCH_STATES}) + "
+                f"NODE_BYTES={NODE_BYTES}) = {run_bytes} bytes > MAX_RUN_BYTES = {MAX_RUN_BYTES}"
             )
 
 

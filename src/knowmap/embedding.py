@@ -255,13 +255,13 @@ def _rows(
 
 
 def _slot_keep(spans: np.ndarray, width: int, separator: int) -> np.ndarray:
-    """Which columns of its slot each value's text, start * (width + 1) + end, and separator use."""
-    if width == _TEXT:  # one row of a small table a value
-        table = np.hstack([_TEXT_KEEP, np.ones((len(_TEXT_KEEP), separator), dtype=bool)])
-        return np.take(table, spans, axis=0)
-    start, end = (part[:, None] for part in np.divmod(spans, width + 1))
+    """Which columns of its slot each value's text, start * (width + 1) + end, and separator use.
+
+    Each value takes its row of a table over every span, which is cheaper
+    than comparing every value's slot against its start and end."""
+    start, end = (part[:, None] for part in np.divmod(np.arange((width + 1) ** 2), width + 1))
     columns = np.arange(width + separator)
-    return (columns >= start) & (columns < end) | (columns >= width)
+    return np.take((columns >= start) & (columns < end) | (columns >= width), spans, axis=0)
 
 
 def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -456,11 +456,7 @@ CSV_CHUNK_ROWS = 512  # rows a chunk; with the dels above, a chunk peaks near 0.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _CRLF = constant(b"\r\n")
 _TEXT = 24  # a slot's text columns: 7 pad, then 17 digits
-_COLUMNS = np.arange(_TEXT + 1)
-# Row 25 * start + end: which of its 24 columns a text from start to end uses.
-_TEXT_KEEP = _COLUMNS[:_TEXT] >= np.arange(8)[:, None, None]
-_TEXT_KEEP = (_TEXT_KEEP & (_COLUMNS[:_TEXT] < _COLUMNS[:, None])).reshape(-1, _TEXT)
-_INTEGER_DIGITS = _COLUMNS[:23] < 7 + np.arange(17)[:, None]  # row k: the columns moved left
+_INTEGER_DIGITS = np.arange(23) < 7 + np.arange(17)[:, None]  # row k: the columns moved left
 # "0000".."9999" as 4-byte words
 _DIGIT_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
 _DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()

@@ -135,14 +135,17 @@ def fluctuation_draws(
     """Two uniform draws in ±magnitude per column, shape (len(keys), 2).
 
     Column i is stream key keys[i] at step[i]; a scalar step is every
-    column's.  Row i equals, bit for bit,
+    column's, and a step is an integer in [0, 2**64) as a key is.  Row i equals, bit for bit,
     ``default_rng(SeedSequence([seed, 0xF1, keys[i], step[i]])).uniform(-magnitude,
     magnitude, size=2)``: numpy's seeding and PCG64 generator are replayed
     here over arrays, one pass for every column of the same entropy length.
     """
     check_magnitude(magnitude)
     keys = np.asarray(keys, dtype=np.uint64)
-    steps = np.broadcast_to(np.asarray(step, dtype=np.uint64), keys.shape)
+    steps = np.asarray(step)  # a Python int past 2**64 - 1 becomes an object array
+    if steps.dtype.kind not in "iu" or (steps.size and steps.min() < 0):
+        raise InvalidConfigError(f"step must be a non-negative integer below 2**64, got {step!r}")
+    steps = np.broadcast_to(steps.astype(np.uint64), keys.shape)
     head = _words(seed) + [_FLUCTUATION_STREAM]
     raw = np.empty((len(keys), 2), dtype=np.uint64)
     # SeedSequence drops a zero high word, so a key or step below 2**32 hashes one word fewer.

@@ -116,10 +116,8 @@ def render_scatter(
             f'stroke-width="1"/>'
         )
 
-    joined = "".join(labels)
-    names = labels if escape(joined) == joined else [escape(label) for label in labels]
-    for name, workload, cx, cy, is_target in zip(names, workloads, cxs, cys, target):
-        tooltip = f"<title>{name} ({int(workload)}%)</title>"
+    for label, workload, cx, cy, is_target in zip(labels, workloads, cxs, cys, target):
+        tooltip = f"<title>{escape(label)} ({int(workload)}%)</title>"
         if is_target:
             color = workload_color(int(workload))
             parts.append(

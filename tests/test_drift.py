@@ -16,6 +16,7 @@ from knowmap.drift import (
     MAX_RUN_BYTES,
     NODE_BYTES,
     METRICS_FILE,
+    SCRATCH_STATES,
     SWEEP,
     DriftConfig,
     TrajectoryMetrics,
@@ -183,11 +184,15 @@ def test_config_rejects_an_absurd_size(field, value):
         DriftConfig(**{field: value})
 
 
+# the most nodes a run of dimension 8 and 16 rounds may have
+LARGEST_D8_R16 = MAX_RUN_BYTES // (8 * 8 * (16 + SCRATCH_STATES) + NODE_BYTES)
+
+
 def test_config_accepts_the_largest_sizes():
     config = DriftConfig(dimension=MAX_DIMENSION, rounds=MAX_ROUNDS)
     assert (config.dimension, config.rounds) == (1024, 1000)
     assert MAX_RUN_BYTES == 2**32
-    DriftConfig(nodes=MAX_RUN_BYTES // (8 * 8 * 16 + NODE_BYTES), dimension=8, rounds=16)
+    DriftConfig(nodes=LARGEST_D8_R16, dimension=8, rounds=16)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +200,8 @@ def test_config_accepts_the_largest_sizes():
     [
         dict(nodes=5_000_000, dimension=1024),  # 41 GB a state matrix
         dict(nodes=1000, dimension=1024, rounds=1000),  # knowmap embed keeps every round
-        dict(nodes=MAX_RUN_BYTES // (8 * 8 * 16 + NODE_BYTES) + 1, dimension=8, rounds=16),
-        dict(nodes=2**22, dimension=11),  # run_drift keeps 1 + len(SWEEP) maps at any rounds
+        dict(nodes=LARGEST_D8_R16 + 1, dimension=8, rounds=16),
+        dict(nodes=2_000_000, dimension=11),  # run_drift keeps 1 + len(SWEEP) maps at any rounds
         dict(nodes=5_000_000),  # 4.8e8 state values: 6.5 GB resident when only those were bounded
     ],
 )

@@ -230,6 +230,14 @@ def test_seed_must_be_a_non_negative_integer(bad):
         fluctuation_draws(bad, 0.02, np.zeros(1, dtype=np.uint64), 0)
 
 
+@pytest.mark.parametrize(
+    "bad", [-1, 2**64, 1.5, "3", None, True, np.array([0, -1]), np.array([1.0, 2.0])]
+)
+def test_step_must_be_a_non_negative_integer_below_2_64(bad):
+    with pytest.raises(InvalidConfigError, match="step must be a non-negative integer"):
+        fluctuation_draws(7, 0.02, np.zeros(2, dtype=np.uint64), bad)
+
+
 @pytest.mark.parametrize("good", [0, 2**64, np.uint32(5), np.int64(9)])
 def test_seed_accepts_integers(good):
     assert check_seed(good) == good
