@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -243,7 +244,7 @@ def _rows(
     block[:, lo:hi] = slots.reshape(rows, -1)
     del slots
     keep = np.ones(block.shape, dtype=bool)
-    keep[:, lo:hi] = _slot_keep(spans, width, len(separator)).reshape(rows, -1)
+    keep[:, lo:hi] = np.take(_span_masks(width, len(separator)), spans, axis=0).reshape(rows, -1)
     keep[:, hi - len(separator) : hi] = False
     for texts, at in ((head, 0), (tail, hi)):
         for text, lengths in texts:
@@ -254,14 +255,16 @@ def _rows(
     return block[keep]
 
 
-def _slot_keep(spans: np.ndarray, width: int, separator: int) -> np.ndarray:
-    """Which columns of its slot each value's text, start * (width + 1) + end, and separator use.
-
-    Each value takes its row of a table over every span, which is cheaper
-    than comparing every value's slot against its start and end."""
+@lru_cache
+def _span_masks(width: int, separator: int) -> np.ndarray:
+    """Row start * (width + 1) + end: the columns of a slot that a text from start to end and
+    the separator after it use.  One row taken a value is cheaper than comparing each slot
+    with its start and end, and a run meets few (width, separator) pairs, so each is built once."""
     start, end = (part[:, None] for part in np.divmod(np.arange((width + 1) ** 2), width + 1))
     columns = np.arange(width + separator)
-    return np.take((columns >= start) & (columns < end) | (columns >= width), spans, axis=0)
+    masks = (columns >= start) & (columns < end) | (columns >= width)
+    masks.flags.writeable = False
+    return masks
 
 
 def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, np.ndarray]:
