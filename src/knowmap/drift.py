@@ -22,7 +22,6 @@ from .embedding import (
     csv_fields,
     embedding_round,
     init_layers,
-    write_csv,
 )
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidConfigError
 from .features import (
@@ -274,10 +273,13 @@ def write_projection_csv(path: str | Path, result: DriftResult) -> None:
     Baseline rows come first in node order, then the target trajectory in
     sweep order, matching the row order the projection was fitted on.
     """
-    # A workload is a small integer, which "%.17g" writes as "%d" does.
-    values = np.column_stack([result.projection_workloads, result.projection])
     labels = csv_fields(result.projection_labels)
-    write_csv(path, "label,workload_pct,x,y", labels, [(b",", values)])
+    cells: list[object] = [None] * (4 * len(labels))
+    cells[0::4], cells[1::4] = labels, result.projection_workloads
+    cells[2::4], cells[3::4] = result.projection.T.tolist()
+    text = ("label,workload_pct,x,y\r\n" + "%s,%d,%.17g,%.17g\r\n" * len(labels)) % tuple(cells)
+    with open(path, "wb") as handle:  # UTF-8 whatever the locale
+        handle.write(text.encode("utf-8"))
 
 
 def export_result(result: DriftResult, directory: str | Path) -> list[Path]:

@@ -14,10 +14,10 @@ neighbors.  The network is fixed: the sigmoid is its one nonlinearity, so a
 row comes out all zero only where every mixed value is below about -709.8,
 where exp overflows and the sigmoid is 0.
 
-The module also formats rows of floats for every artifact writer:
-format_rows builds the "%.17g", "%r" or "%.2f" text of a block of rows over
-numpy arrays, byte for byte as Python's % operator writes it, instead of
-formatting one float at a time.  Values it cannot prove go to Python.
+The module also formats the embedding CSVs and knowledge_map.json: format_rows
+builds the "%.17g" or "%r" text of a block of rows over numpy arrays, byte for
+byte as Python's % operator writes it, instead of formatting one float at a
+time.  Values it cannot prove go to Python.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -133,8 +133,9 @@ def write_embedding_csv(
 
     Rounds are numbered from first_round.  Rows are ordered by round, then
     node_ids order, and floats are written as "%.17g" (format_rows) so reruns
-    are byte-identical.  Every snapshot must be (len(node_ids), k),
-    checked before the file is opened.
+    are byte-identical.  The file is UTF-8 text whatever the locale, written
+    a chunk at a time.  Every snapshot must be (len(node_ids), k), checked
+    before the file is opened.
     """
     if len(snapshots) == 0 or len(node_ids) == 0:
         raise EmptyInputError("no embeddings to write")
@@ -147,8 +148,13 @@ def write_embedding_csv(
                 f"expected ({len(node_ids)}, k), one k >= 1 for every round"
             )
     header = ",".join(["node_id", "round"] + [f"e{i}" for i in range(expected[1])])
-    rounds = enumerate(snapshots, start=first_round)
-    write_csv(path, header, csv_fields(node_ids), [(b",%d," % r, s) for r, s in rounds])
+    fields = text_block(csv_fields(node_ids))
+    with open(path, "wb") as handle:
+        handle.write(header.encode("utf-8") + b"\r\n")
+        for round_index, snapshot in enumerate(snapshots, start=first_round):
+            middle = constant(b",%d," % round_index)
+            for chunk in format_rows([fields, middle], snapshot, b",", [_CRLF]):
+                handle.write(chunk)
 
 
 def csv_field(text: str) -> str:
@@ -168,14 +174,14 @@ def csv_fields(texts: Sequence[str]) -> list[str]:
 TextBlock = tuple[np.ndarray, np.ndarray]  # zero-padded uint8 rows, and each row's byte length
 
 
-def text_block(texts: Sequence[str], encoding: str) -> TextBlock:
-    """texts encoded as rows of a zero-padded uint8 block, plus each one's byte length."""
+def text_block(texts: Sequence[str]) -> TextBlock:
+    """texts as UTF-8 rows of a zero-padded uint8 block, plus each one's byte length."""
     joined = "".join(texts)
-    data = joined.encode(encoding)
+    data = joined.encode("utf-8")
     if len(data) == len(joined):  # one byte a character
         lengths = np.fromiter(map(len, texts), np.intp, len(texts))
     else:
-        lengths = np.array([len(text.encode(encoding)) for text in texts], dtype=np.intp)
+        lengths = np.array([len(text.encode("utf-8")) for text in texts], dtype=np.intp)
     block = np.zeros((len(texts), lengths.max(initial=0)), dtype=np.uint8)
     block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(data, np.uint8)
     return block, lengths
@@ -184,25 +190,6 @@ def text_block(texts: Sequence[str], encoding: str) -> TextBlock:
 def constant(text: bytes) -> TextBlock:
     """text as a one-row text block, which format_rows writes on every row."""
     return np.frombuffer(text, np.uint8)[None, :], np.array([len(text)])
-
-
-def write_csv(
-    path: str | Path,
-    header: str,
-    fields: Sequence[str],
-    blocks: Iterable[tuple[bytes, np.ndarray]],
-) -> None:
-    """Write the header line, then for every (middle, values) block the rows
-    field, middle, the "%.17g" values joined by "," and CRLF.
-
-    The file is UTF-8 text whatever the locale, written a chunk at a time.
-    """
-    field_block = text_block(fields, "utf-8")
-    with open(path, "wb") as handle:
-        handle.write(header.encode("utf-8") + b"\r\n")
-        for middle, values in blocks:
-            for chunk in format_rows([field_block, constant(middle)], values, b",", [_CRLF]):
-                handle.write(chunk)
 
 
 def format_rows(
@@ -216,8 +203,8 @@ def format_rows(
 
     Row i is text i of every head block, separator.join(mode % v for v in
     values[i]), then text i of every tail block; a one-row block gives every
-    row the same text.  mode is "%.17g", "%r" or "%.2f", and each value is
-    written byte for byte as Python's % operator writes it.
+    row the same text.  mode is "%.17g" or "%r", and each value is written
+    byte for byte as Python's % operator writes it.
     """
     values = np.asarray(values, dtype=np.float64)
     for i in range(0, len(values), CSV_CHUNK_ROWS):
@@ -272,47 +259,36 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, 
 
     Each slot is a text of width columns (24, or the longest text Python
     wrote), then the separator.  A value's digits come from an exact decimal
-    integer: _digits_17 for "%.17g", _shortest's for "%r", _hundredths for
-    "%.2f".  Its slot holds 7 pad zeros, the 17 digits from column 7, a '.'
-    at column 7 + k, the integer digits of a k >= 0 value moved one column
-    left, and a '-' before the lead, so the text is one run of columns
-    ('-0.000' fits in the pad for k >= -4).  A "%.17g" value below 1e-4 is
-    laid out again as d.ddde-0k from column 1.  Every other value (zero,
-    inf, NaN, subnormal, out of range, unprovable) is formatted by Python
-    and copied in, so each text is Python's.
+    integer: _digits_17 for "%.17g", _shortest's for "%r".  Its slot holds 7
+    pad zeros, the 17 digits from column 7, a '.' at column 7 + k, the
+    integer digits of a k >= 0 value moved one column left, and a '-' before
+    the lead, so the text is one run of columns ('-0.000' fits in the pad
+    for k >= -4).  Every other value (zero, inf, NaN, subnormal, below 1e-4
+    or out of range, unprovable) is formatted by Python and copied in, so
+    each text is Python's.
     """
     magnitude = np.abs(flat)  # NaN fails every comparison below, so it is slow
-    if mode == "%.2f":
-        fast = magnitude < 1e13
-    else:  # double(1e-6) < 10**-6 < double(1e-4): from there on, k >= -6 and -4
-        fast = (magnitude > (1e-6 if mode == "%.17g" else 1e-4)) & (magnitude < 1e16)
+    fast = (magnitude > 1e-4) & (magnitude < 1e16)  # 10**-4 < double(1e-4): k >= -4
     magnitude[~fast] = 1.0
-    if mode == "%.2f":
-        k, digits = _hundredths(magnitude)
-    else:
-        k, digits, residual = _digits_17(magnitude)
-        if mode == "%r":
-            _shortest(magnitude, k, digits, residual, fast)
-        del residual
-    del magnitude
+    k, digits, residual = _digits_17(magnitude)
+    if mode == "%r":
+        _shortest(magnitude, k, digits, residual, fast)
+    del residual, magnitude
     slow = np.flatnonzero(~fast)
     texts = [mode % v for v in flat[slow].tolist()]
     width = max([_TEXT, *map(len, texts)])
     lead, quads = _digit_chars(digits)
     del digits
-    if mode == "%.2f":
-        end = 10 + k
-    else:
-        # The last nonzero digit: the 16th for most values; where that is '0',
-        # the highest nonzero byte of a word of eight digit characters minus
-        # '0', read little-endian.
-        last = np.full(len(flat), 16)
-        zero = np.flatnonzero(quads[:, 3] < 0x31000000)
-        offsets = np.searchsorted(_BYTE_STEPS, quads[zero].view("<u8") ^ _ASCII_ZEROS, "right")
-        last[zero] = np.where(offsets[:, 1] > 0, 8 + offsets[:, 1], offsets[:, 0])
-        del offsets
-        # An integral value ends before its '.' in "%.17g", and after ".0" in "%r".
-        end = np.where((k >= 0) & (last <= k), 7 + k + 2 * (mode == "%r"), 8 + last)
+    # The last nonzero digit: the 16th for most values; where that is '0', the
+    # highest nonzero byte of a word of eight digit characters minus '0', read
+    # little-endian.
+    last = np.full(len(flat), 16)
+    zero = np.flatnonzero(quads[:, 3] < 0x31000000)
+    offsets = np.searchsorted(_BYTE_STEPS, quads[zero].view("<u8") ^ _ASCII_ZEROS, "right")
+    last[zero] = np.where(offsets[:, 1] > 0, 8 + offsets[:, 1], offsets[:, 0])
+    del offsets
+    # An integral value ends before its '.' in "%.17g", and after ".0" in "%r".
+    end = np.where((k >= 0) & (last <= k), 7 + k + 2 * (mode == "%r"), 8 + last)
 
     slots = np.empty((len(flat), width + len(separator)), dtype=np.uint8)
     slots[:, width:] = np.frombuffer(separator, np.uint8)
@@ -325,7 +301,7 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, 
         laid = slots[whole]
         np.copyto(laid[:, :23], laid[:, 1:24].copy(), where=_INTEGER_DIGITS[k[whole]])
         slots[whole] = laid
-    below = np.maximum(np.minimum(k, 0), -4)
+    below = np.minimum(k, 0)
     negative = np.flatnonzero(np.signbit(flat))
     stride = slots.shape[1]
     cells = slots.reshape(-1)
@@ -334,35 +310,22 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, 
     start = 6 + below
     start[negative] -= 1
 
-    tiny = np.flatnonzero(k < -4)  # a slow value's k is 0
-    if tiny.size:  # "%.17g" below 1e-4: -d.ddd from column 0, then e-05 or e-06
-        laid = slots[tiny]
-        laid[:, 1], laid[:, 2] = laid[:, 7], ord(".")
-        laid[:, 3:19] = laid[:, 8:24]
-        suffix = np.where(last[tiny] > 0, 3 + last[tiny], 2)
-        for offset, char in enumerate(b"e-0"):
-            laid[np.arange(len(tiny)), suffix + offset] = char
-        laid[np.arange(len(tiny)), suffix + 3] = ord("0") - k[tiny]
-        laid[:, 0] = ord("-")
-        slots[tiny] = laid
-        start[tiny], end[tiny] = np.where(np.signbit(flat[tiny]), 0, 1), suffix + 4
-
     if slow.size:
-        block, lengths = text_block(texts, "ascii")
+        block, lengths = text_block(texts)
         slots[slow, : block.shape[1]] = block
         start[slow], end[slow] = 0, lengths
     return slots, start * (width + 1) + end
 
 
 def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-6, 1e16).
+    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-4, 1e16).
 
     N = magnitude * 10**(16 - k) rounded half to even, with k log10's
     estimate corrected until 10**16 <= N < 10**17 holds for the exact
     product.  Dekker's two-product gives that product as p + err, both exact
     doubles; p >= 10**16 > 2**53 is an even integer, so p + rint(err) is N,
     rounded half to even, and the exact product is N plus the residual
-    err - rint(err).  No N rounds up to 10**17: in (1e-6, 1e16), the
+    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1e16), the
     largest double below a power of ten lies more than 8 units of the 17th
     digit below it.
     """
@@ -413,22 +376,6 @@ def _shortest(
         digits[live] = n[held] * scale
 
 
-def _hundredths(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k and 17 digits of N = 100 * magnitude rounded half to even: "%.2f" writes N / 100.
-
-    With p + err = 100 * magnitude exactly and f = p - floor(p),
-    N = floor(p) + (f > 1/2 or f = 1/2 and err > 0), and an exact tie goes
-    to the even neighbour.  k + 1 is N's count of integer digits, at least 1.
-    """
-    p, err = _times_power_of_ten(magnitude, 2)
-    n = np.floor(p)
-    half = p - n - 0.5
-    n = n.astype(np.int64)
-    n += (half > 0) | ((half == 0) & ((err > 0) | ((err == 0) & (n & 1 == 1))))
-    size = np.maximum(np.searchsorted(_POWERS, n, side="right"), 3)
-    return size - 3, n * _POWERS[17 - size]
-
-
 def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lead digit and four 4-digit ASCII words of each integer in [0, 10**17)."""
     # One true division; each other quotient is x * m >> s, which equals
@@ -466,6 +413,5 @@ _DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
 _BYTE_STEPS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 _POW10 = np.array([float(10**j) for j in range(23)])  # each exact in float64
-_POWERS = 10 ** np.arange(18, dtype=np.int64)  # the same as int64, up to 10**17
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI

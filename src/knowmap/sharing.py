@@ -102,7 +102,7 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
     head = [
         (opening, np.ones(len(ids), dtype=np.intp)),
         constant(b"\n    "),
-        text_block([encode_basestring_ascii(ids[i]) for i in order], "ascii"),
+        text_block([encode_basestring_ascii(ids[i]) for i in order]),
         constant(b": [\n      "),
     ]
     with open(path, "wb") as handle:

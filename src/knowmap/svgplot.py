@@ -1,8 +1,8 @@
 """Static SVG scatter of a drift projection.
 
-Pure string assembly, no drawing library; coordinates are formatted over
-arrays (embedding.format_rows).  One circle per projected row;
-legend swatches are rectangles so circles count exactly the data points.
+Pure string assembly, no drawing library; every coordinate is Python's
+"%.2f" text.  One circle per projected row; legend swatches are rectangles
+so circles count exactly the data points.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .embedding import constant, format_rows
 from .errors import DimensionMismatchError, EmptyInputError
 
 if TYPE_CHECKING:
@@ -104,10 +103,9 @@ def render_scatter(
         f'transform="rotate(-90 18 {HEIGHT / 2:.2f})">component 2</text>'
     )
 
-    # Every coordinate as "%.2f" text, x then y of each row, in one array pass.
-    rows = format_rows([], centers, b" ", [constant(b" ")], "%.2f")
-    coordinates = b"".join(rows).decode("ascii").split(" ")
-    cxs, cys = coordinates[0:-1:2], coordinates[1::2]
+    # Every coordinate as "%.2f" text, x then y of each row, in one % over the whole text.
+    coordinates = ("%.2f " * centers.size % tuple(centers.ravel().tolist())).split()
+    cxs, cys = coordinates[0::2], coordinates[1::2]
     target = [label.startswith(TARGET_PREFIX) for label in labels]
     trajectory = [f"{x},{y}" for x, y, is_target in zip(cxs, cys, target) if is_target]
     if len(trajectory) >= 2:

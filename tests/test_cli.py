@@ -350,6 +350,15 @@ def test_plot_round_trips_a_projection(tmp_path):
     assert text.count("<circle") == 16
     assert "<polyline" in text
     ElementTree.fromstring(text)  # must be well-formed XML
+    # The coordinates read back from projection.csv draw the drift's own SVG, byte for byte.
+    for flags in ("ring", "full", "line", "ring --rounds 50 --tolerance 0"):
+        run = tmp_path / flags.replace(" ", "")
+        topology, *rest = flags.split()
+        args = ["--topology", topology, "--nodes", "12", *rest, "--out", str(run)]
+        assert main(["drift", *args]) == EXIT_OK
+        replot = ["--projection", str(run / PROJECTION_FILE), "--out", str(run / "replot.svg")]
+        assert main(["plot", *replot, "--title", f"{topology} n=12 target=node-0"]) == EXIT_OK
+        assert (run / "replot.svg").read_bytes() == (run / PLOT_FILE).read_bytes(), flags
 
 
 def test_plot_missing_file_is_a_runtime_error(tmp_path, capsys):

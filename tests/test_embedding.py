@@ -425,7 +425,7 @@ def python_rows(rows, mode="%.17g"):
 def bare_rows(values, mode="%.17g"):
     """format_rows of values with an empty head and a CRLF tail."""
     values = np.asarray(values, dtype=np.float64)
-    head = [text_block([""] * len(values), "ascii")]
+    head = [text_block([""] * len(values))]
     return b"".join(format_rows(head, values, b",", [constant(b"\r\n")], mode))
 
 
@@ -482,12 +482,11 @@ mode_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.tuples(sign, decades).map(lambda t: t[0] * t[1]),
     st.tuples(st.floats(0, 1e6), st.integers(0, 7)).map(lambda t: round(*t)),  # short decimals
-    st.integers(-(2**13), 2**13).map(lambda i: i / 8),  # "%.2f" ties at k/8
     st.tuples(sign, st.integers(-60, 60)).map(lambda t: t[0] * 2.0 ** t[1]),
 )
 
 
-@pytest.mark.parametrize("mode", ["%.17g", "%r", "%.2f"])
+@pytest.mark.parametrize("mode", ["%.17g", "%r"])
 @given(values=st.lists(mode_values, min_size=1, max_size=24))
 @example(values=[0.1, 1e-5, 9.999999999999999e-05, 1e16, 2.0**53, 0.125, 0.375, 1e21, 5e-324])
 def test_each_mode_writes_pythons_text(mode, values):
@@ -495,7 +494,7 @@ def test_each_mode_writes_pythons_text(mode, values):
     assert bare_rows(rows, mode) == python_rows(rows.tolist(), mode)
 
 
-@pytest.mark.parametrize("mode", ["%.17g", "%r", "%.2f"])
+@pytest.mark.parametrize("mode", ["%.17g", "%r"])
 def test_each_mode_writes_pythons_text_for_random_doubles_and_powers_of_two(mode):
     # 17-digit values, a tenth of them a tie at 16 digits, which hypothesis rarely draws
     rng = np.random.default_rng(17)

@@ -1,14 +1,16 @@
-"""The array writers against the per-value writers they replaced, at benchmark size.
+"""The artifact writers against references that format one value at a time, at benchmark size.
 
-The n=12 digests in test_cli.py pin a small run.  These runs are the
-benchmark's own configs, so every value the benchmark writes meets the
-writer that formatted it one value at a time.
+knowledge_map.json is formatted over arrays (embedding.format_rows); the
+projection CSV and the SVG are one Python % over the whole text.  The n=12
+digests in test_cli.py pin a small run.  These runs are the benchmark's own
+configs, so every value the benchmark writes meets a writer that formats it
+one value at a time.
 """
 
 import json
 
-import numpy as np
 import pytest
+from test_embedding import per_row_projection_csv
 
 from knowmap.drift import DriftConfig, run_drift, write_projection_csv
 from knowmap.graph import TopologyKind
@@ -43,7 +45,7 @@ def per_value_knowledge_map_json(path, knowledge_map):
 
 
 def per_value_scatter(labels, workloads, points, title=""):
-    """render_scatter as it was before format_rows: coordinates one point at a time."""
+    """render_scatter with its coordinates formatted one point at a time."""
     xs, ys = [float(p[0]) for p in points], [float(p[1]) for p in points]
     x_pad = (max(xs) - min(xs)) * 0.05 or 0.5
     y_pad = (max(ys) - min(ys)) * 0.05 or 0.5
@@ -120,18 +122,8 @@ def test_svg_bytes_equal_the_per_value_renderer(bench_result, tmp_path):
 
 def test_projection_bytes_equal_the_per_value_writer(bench_result, tmp_path):
     write_projection_csv(tmp_path / "new.csv", bench_result)
-    rows = zip(
-        bench_result.projection_labels, bench_result.projection_workloads,
-        bench_result.projection.tolist(),
+    per_row_projection_csv(
+        tmp_path / "old.csv", bench_result.projection_labels,
+        bench_result.projection_workloads, bench_result.projection,
     )
-    old = "label,workload_pct,x,y\r\n" + "".join(
-        "%s,%d,%.17g,%.17g\r\n" % (label, workload, x, y) for label, workload, (x, y) in rows
-    )
-    assert (tmp_path / "new.csv").read_bytes() == old.encode()
-
-
-def test_a_bench_projection_holds_exponent_notation_values():
-    # the "%.17g" exponent layout and its Python fallback both meet the per-value writer
-    magnitudes = np.abs(run_drift(BENCH_CONFIGS["ring-3000"]).projection)
-    assert ((magnitudes >= 1e-6) & (magnitudes < 1e-4)).sum() > 1000
-    assert ((magnitudes > 0) & (magnitudes < 1e-6)).any()
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
