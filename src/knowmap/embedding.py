@@ -17,14 +17,16 @@ where exp overflows and the sigmoid is 0.
 The module also formats the embedding CSVs and knowledge_map.json: format_rows
 builds the "%.17g" or "%r" text of a block of rows over numpy arrays, byte for
 byte as Python's % operator writes it, instead of formatting one float at a
-time.  Values it cannot prove go to Python.
+time.  A chunk of rows is one uint8 block in which every column that holds no
+text is 0xFF, a byte UTF-8 never writes, so one bytes.translate compacts it.
+Values outside (1e-4, 1), where Knowledge Map values lie, and values it cannot
+prove go to Python.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -171,35 +173,31 @@ def csv_fields(texts: Sequence[str]) -> list[str]:
     return list(texts)
 
 
-TextBlock = tuple[np.ndarray, np.ndarray]  # zero-padded uint8 rows, and each row's byte length
-
-
-def text_block(texts: Sequence[str]) -> TextBlock:
-    """texts as UTF-8 rows of a zero-padded uint8 block, plus each one's byte length."""
-    joined = "".join(texts)
-    data = joined.encode("utf-8")
-    if len(data) == len(joined):  # one byte a character
-        lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+def text_block(texts: Sequence[str]) -> np.ndarray:
+    """texts as UTF-8 rows of a uint8 block, each padded with 0xFF, a byte UTF-8 never writes."""
+    if "".join(texts).isascii():  # latin-1 writes an ASCII character as its UTF-8 byte
+        width = max(map(len, texts), default=0)
+        data = "".join([text.ljust(width, "\xff") for text in texts]).encode("latin-1")
     else:
-        lengths = np.array([len(text.encode("utf-8")) for text in texts], dtype=np.intp)
-    block = np.zeros((len(texts), lengths.max(initial=0)), dtype=np.uint8)
-    block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(data, np.uint8)
-    return block, lengths
+        encoded = [text.encode("utf-8") for text in texts]
+        width = max(map(len, encoded), default=0)
+        data = b"".join([text.ljust(width, b"\xff") for text in encoded])
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
-def constant(text: bytes) -> TextBlock:
-    """text as a one-row text block, which format_rows writes on every row."""
-    return np.frombuffer(text, np.uint8)[None, :], np.array([len(text)])
+def constant(text: bytes) -> np.ndarray:
+    """text (no 0xFF byte) as a one-row text block, which format_rows writes on every row."""
+    return np.frombuffer(text, np.uint8)[None, :]
 
 
 def format_rows(
-    head: Sequence[TextBlock],
+    head: Sequence[np.ndarray],
     values: np.ndarray,
     separator: bytes,
-    tail: Sequence[TextBlock],
+    tail: Sequence[np.ndarray],
     mode: str = "%.17g",
-) -> Iterator[np.ndarray]:
-    """The bytes, as uint8, of each row of values, CSV_CHUNK_ROWS rows a chunk.
+) -> Iterator[bytes]:
+    """The bytes of each row of values, CSV_CHUNK_ROWS rows a chunk.
 
     Row i is text i of every head block, separator.join(mode % v for v in
     values[i]), then text i of every tail block; a one-row block gives every
@@ -210,122 +208,87 @@ def format_rows(
     for i in range(0, len(values), CSV_CHUNK_ROWS):
         rows = slice(i, i + CSV_CHUNK_ROWS)
         head_rows, tail_rows = (
-            [(b, n) if len(n) == 1 else (b[rows], n[rows]) for b, n in texts]
-            for texts in (head, tail)
+            [text if len(text) == 1 else text[rows] for text in texts] for texts in (head, tail)
         )
         yield _rows(head_rows, values[rows], separator, tail_rows, mode)
 
 
 def _rows(
-    head: Sequence[TextBlock], values: np.ndarray, separator: bytes,
-    tail: Sequence[TextBlock], mode: str,
-) -> np.ndarray:
-    """format_rows of one chunk: the texts side by side in one uint8 block, and
-    a mask that keeps each text's bytes and every separator but a row's last."""
+    head: Sequence[np.ndarray], values: np.ndarray, separator: bytes,
+    tail: Sequence[np.ndarray], mode: str,
+) -> bytes:
+    """format_rows of one chunk: the texts side by side in one uint8 block, in which every
+    column that holds no text, and each row's last separator, is 0xFF for translate to drop."""
     rows, columns = values.shape
-    slots, spans = _format(values.ravel(), mode, separator)
-    width = slots.shape[1] - len(separator)
-    lo = sum(text.shape[1] for text, _ in head)
+    slots = _format(values.ravel(), mode, separator)
+    lo = sum(text.shape[1] for text in head)
     hi = lo + columns * slots.shape[1]
-    block = np.empty((rows, hi + sum(text.shape[1] for text, _ in tail)), dtype=np.uint8)
+    block = np.empty((rows, hi + sum(text.shape[1] for text in tail)), dtype=np.uint8)
     block[:, lo:hi] = slots.reshape(rows, -1)
     del slots
-    keep = np.ones(block.shape, dtype=bool)
-    keep[:, lo:hi] = np.take(_span_masks(width, len(separator)), spans, axis=0).reshape(rows, -1)
-    keep[:, hi - len(separator) : hi] = False
+    block[:, hi - len(separator) : hi] = 0xFF
     for texts, at in ((head, 0), (tail, hi)):
-        for text, lengths in texts:
+        for text in texts:
             block[:, at : at + text.shape[1]] = text
-            if len(lengths) > 1:  # a one-row block's text fills its width
-                keep[:, at : at + text.shape[1]] = np.arange(text.shape[1]) < lengths[:, None]
             at += text.shape[1]
-    return block[keep]
+    return block.tobytes().translate(None, b"\xff")
 
 
-@lru_cache
-def _span_masks(width: int, separator: int) -> np.ndarray:
-    """Row start * (width + 1) + end: the columns of a slot that a text from start to end and
-    the separator after it use.  One row taken a value is cheaper than comparing each slot
-    with its start and end, and a run meets few (width, separator) pairs, so each is built once."""
-    start, end = (part[:, None] for part in np.divmod(np.arange((width + 1) ** 2), width + 1))
-    columns = np.arange(width + separator)
-    masks = (columns >= start) & (columns < end) | (columns >= width)
-    masks.flags.writeable = False
-    return masks
+def _format(flat: np.ndarray, mode: str, separator: bytes) -> np.ndarray:
+    """mode % v of every v as a slot: _TEXT columns of 0xFF-padded text, then the separator.
 
-
-def _format(flat: np.ndarray, mode: str, separator: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """mode % v of every v as slots[i, start:end], with spans[i] = (width + 1) * start + end.
-
-    Each slot is a text of width columns (24, or the longest text Python
-    wrote), then the separator.  A value's digits come from an exact decimal
-    integer: _digits_17 for "%.17g", _shortest's for "%r".  Its slot holds 7
-    pad zeros, the 17 digits from column 7, a '.' at column 7 + k, the
-    integer digits of a k >= 0 value moved one column left, and a '-' before
-    the lead, so the text is one run of columns ('-0.000' fits in the pad
-    for k >= -4).  Every other value (zero, inf, NaN, subnormal, below 1e-4
-    or out of range, unprovable) is formatted by Python and copied in, so
-    each text is Python's.
+    A value in (1e-4, 1) is laid out from an exact 17-digit integer (_digits_17
+    for "%.17g", _shortest's for "%r"): the _PAD row of its sign and exponent,
+    the lead digit at column 7, the other 16 after it, trailing '0's as 0xFF.
+    Python formats every other value (zero, inf, NaN, 1e-4 or less, 1 or more,
+    unprovable), so each text is Python's; no text of a double is longer than _TEXT.
     """
     magnitude = np.abs(flat)  # NaN fails every comparison below, so it is slow
-    fast = (magnitude > 1e-4) & (magnitude < 1e16)  # 10**-4 < double(1e-4): k >= -4
-    magnitude[~fast] = 1.0
+    fast = (magnitude > 1e-4) & (magnitude < 1.0)  # 10**-4 < double(1e-4): -4 <= k <= -1
+    magnitude[~fast] = 0.5  # any value in range: Python writes these
     k, digits, residual = _digits_17(magnitude)
     if mode == "%r":
         _shortest(magnitude, k, digits, residual, fast)
     del residual, magnitude
-    slow = np.flatnonzero(~fast)
-    texts = [mode % v for v in flat[slow].tolist()]
-    width = max([_TEXT, *map(len, texts)])
     lead, quads = _digit_chars(digits)
     del digits
-    # The last nonzero digit: the 16th for most values; where that is '0', the
-    # highest nonzero byte of a word of eight digit characters minus '0', read
-    # little-endian.
-    last = np.full(len(flat), 16)
-    zero = np.flatnonzero(quads[:, 3] < 0x31000000)
-    offsets = np.searchsorted(_BYTE_STEPS, quads[zero].view("<u8") ^ _ASCII_ZEROS, "right")
-    last[zero] = np.where(offsets[:, 1] > 0, 8 + offsets[:, 1], offsets[:, 0])
-    del offsets
-    # An integral value ends before its '.' in "%.17g", and after ".0" in "%r".
-    end = np.where((k >= 0) & (last <= k), 7 + k + 2 * (mode == "%r"), 8 + last)
+    zero = np.flatnonzero(quads[:, 3] < 0x31000000)  # the last of the 17 digits is '0'
+    words = quads.view("<u8")
+    words[zero] = _pad_trailing_zeros(words[zero])
 
-    slots = np.empty((len(flat), width + len(separator)), dtype=np.uint8)
-    slots[:, width:] = np.frombuffer(separator, np.uint8)
-    slots[:, :7] = ord("0")
+    slots = np.empty((len(flat), _TEXT + len(separator)), dtype=np.uint8)
+    slots[:, :7] = np.take(_PAD, 4 * np.signbit(flat) - 1 - k, axis=0)
     slots[:, 7] = ord("0") + lead
-    slots[:, 8:24] = quads.view(np.uint8)
-    del lead, quads
-    whole = np.flatnonzero(k >= 0)
-    if whole.size:
-        laid = slots[whole]
-        np.copyto(laid[:, :23], laid[:, 1:24].copy(), where=_INTEGER_DIGITS[k[whole]])
-        slots[whole] = laid
-    below = np.minimum(k, 0)
-    negative = np.flatnonzero(np.signbit(flat))
-    stride = slots.shape[1]
-    cells = slots.reshape(-1)
-    cells[np.arange(0, cells.size, stride) + 7 + k] = ord(".")
-    cells[negative * stride + 5 + below[negative]] = ord("-")
-    start = 6 + below
-    start[negative] -= 1
-
+    slots[:, 8:_TEXT] = quads.view(np.uint8)
+    slots[:, _TEXT:] = np.frombuffer(separator, np.uint8)
+    slow = np.flatnonzero(~fast)
     if slow.size:
-        block, lengths = text_block(texts)
+        block = text_block([mode % v for v in flat[slow].tolist()])
+        slots[slow, :_TEXT] = 0xFF
         slots[slow, : block.shape[1]] = block
-        start[slow], end[slow] = 0, lengths
-    return slots, start * (width + 1) + end
+    return slots
+
+
+def _pad_trailing_zeros(words: np.ndarray) -> np.ndarray:
+    """Two little-endian words of eight digit characters each, their trailing '0's as 0xFF."""
+    nonzero = words ^ _ASCII_ZEROS  # each digit's value, so a '0' byte is 0
+    nonzero[:, 0] |= (nonzero[:, 1] != 0).astype(np.uint64) << 56  # a digit in word 1 keeps word 0
+    for shift in (8, 16, 32):  # each byte ORs every byte above it
+        nonzero |= nonzero >> shift
+    # A byte of at most 15 carries into bit 7 when 0x7F is added only if it is nonzero.
+    trailing = ~(nonzero + _LOW_SEVENS) & _HIGH_BITS
+    return words | (trailing >> 7) * 0xFF
 
 
 def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-4, 1e16).
+    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-4, 1).
 
     N = magnitude * 10**(16 - k) rounded half to even, with k log10's
     estimate corrected until 10**16 <= N < 10**17 holds for the exact
     product.  Dekker's two-product gives that product as p + err, both exact
     doubles; p >= 10**16 > 2**53 is an even integer, so p + rint(err) is N,
     rounded half to even, and the exact product is N plus the residual
-    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1e16), the
+    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1), the
     largest double below a power of ten lies more than 8 units of the 17th
     digit below it.
     """
@@ -357,8 +320,7 @@ def _shortest(
     decimal is no closer), so the last p that held is repr's; a power of
     two, whose gap below is half the gap above, is no exception in this
     range (tested on each).  An exact tie and an N_p above 2**53 are left
-    to Python.  A carry to 10**p never reads back, and a value of 10**p or
-    more stops at its k + 1 integer digits, which print the same.
+    to Python.  A carry to 10**p never reads back.
     """
     live, seventeen = np.flatnonzero(fast), digits.copy()
     for p in range(16, 0, -1):
@@ -366,10 +328,9 @@ def _shortest(
         n, dropped = np.divmod(seventeen[live], scale)
         side = (dropped - scale // 2) + residual[live]  # the sign of a sum of two doubles is exact
         n += side > 0
-        exponent = p - 1 - k[live]
         unsure = (side == 0) | (n > 2**53)
         fast[live[unsure]] = False
-        held = ~unsure & (exponent >= 0) & (n / _POW10[exponent] == magnitude[live])
+        held = ~unsure & (n / _POW10[p - 1 - k[live]] == magnitude[live])
         live = live[held]
         if not live.size:
             break
@@ -405,13 +366,16 @@ def _times_power_of_ten(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray
 CSV_CHUNK_ROWS = 512  # rows a chunk; with the dels above, a chunk peaks near 0.5 MB of heap
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _CRLF = constant(b"\r\n")
-_TEXT = 24  # a slot's text columns: 7 pad, then 17 digits
-_INTEGER_DIGITS = np.arange(23) < 7 + np.arange(17)[:, None]  # row k: the columns moved left
+_TEXT = 24  # a slot's text columns: 7 of sign, '0.' and zeros, then 17 digits
+# Row 4 * negative - 1 - k: the 7 columns before the lead digit, 0xFF then '-0.000' at most
+_PAD = b"".join(b"%7s" % (sign + b"0." + b"0" * z) for sign in (b"", b"-") for z in range(4))
+_PAD = np.frombuffer(_PAD.replace(b" ", b"\xff"), np.uint8).reshape(8, 7)
 # "0000".."9999" as 4-byte words
 _DIGIT_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
 _DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
-_BYTE_STEPS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
+_LOW_SEVENS = np.uint64(0x7F7F7F7F7F7F7F7F)
+_HIGH_BITS = np.uint64(0x8080808080808080)
 _POW10 = np.array([float(10**j) for j in range(23)])  # each exact in float64
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI

@@ -99,12 +99,8 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
     order = sorted(range(len(ids)), key=ids.__getitem__)
     opening = np.full((len(ids), 1), ord(","), dtype=np.uint8)
     opening[:1] = ord("{")  # the first entry opens the object
-    head = [
-        (opening, np.ones(len(ids), dtype=np.intp)),
-        constant(b"\n    "),
-        text_block([encode_basestring_ascii(ids[i]) for i in order]),
-        constant(b": [\n      "),
-    ]
+    keys = text_block([encode_basestring_ascii(ids[i]) for i in order])
+    head = [opening, constant(b"\n    "), keys, constant(b": [\n      ")]
     with open(path, "wb") as handle:
         converged = b"true" if knowledge_map.converged else b"false"
         handle.write(b'{\n  "converged": %s,\n  "entries": ' % converged)

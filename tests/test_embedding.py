@@ -489,6 +489,7 @@ mode_values = st.one_of(
 @pytest.mark.parametrize("mode", ["%.17g", "%r"])
 @given(values=st.lists(mode_values, min_size=1, max_size=24))
 @example(values=[0.1, 1e-5, 9.999999999999999e-05, 1e16, 2.0**53, 0.125, 0.375, 1e21, 5e-324])
+@example(values=[1.0, -1.0, 0.9999999999999999, 1.0000000000000002e-4])  # the array path's edges
 def test_each_mode_writes_pythons_text(mode, values):
     rows = np.array(values)[:, None]
     assert bare_rows(rows, mode) == python_rows(rows.tolist(), mode)
@@ -536,7 +537,10 @@ def awkward_values(rng, shape):
     return values
 
 
-ODD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "", "nœud-é", "节点", "tab\there"]
+ODD_IDS = [
+    "plain", "a,b", 'say "hi"', "two\nlines", "", "nœud-é", "节点", "tab\there",
+    "nul\0id", "del\x7fid",
+]
 
 
 def test_embedding_csv_bytes_equal_the_per_row_writer(tmp_path):
@@ -545,9 +549,12 @@ def test_embedding_csv_bytes_equal_the_per_row_writer(tmp_path):
     ids = [ODD_IDS[i % len(ODD_IDS)] + str(i) for i in range(n)]
     snapshots = [awkward_values(rng, (n, 3)) for _ in range(3)]
     snapshots.append(rng.uniform(0.2, 0.5, (n, 3)))
-    write_embedding_csv(tmp_path / "new.csv", ids, snapshots, first_round=4)
-    per_row_embedding_csv(tmp_path / "old.csv", ids, snapshots, first_round=4)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # the same ids in ASCII, for text_block's ASCII path
+    ascii_ids = [node_id.encode("ascii", "backslashreplace").decode() for node_id in ids]
+    for node_ids in (ids, ascii_ids):
+        write_embedding_csv(tmp_path / "new.csv", node_ids, snapshots, first_round=4)
+        per_row_embedding_csv(tmp_path / "old.csv", node_ids, snapshots, first_round=4)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_projection_csv_bytes_equal_the_per_row_writer(tmp_path):

@@ -27,8 +27,11 @@ def test_import_loads_the_library_and_not_the_cli_or_plot():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, check=True,
     )
-    loaded = [name for name in json.loads(out.stdout) if name.split(".")[0] == "knowmap"]
+    modules = json.loads(out.stdout)
+    loaded = [name for name in modules if name.split(".")[0] == "knowmap"]
     assert loaded == ["knowmap"] + [
         f"knowmap.{name}"
         for name in ("drift", "embedding", "errors", "features", "graph", "pca", "sharing")
     ]
+    # numpy.random costs about 2 MB and 10 ms; only the first init_layers call may load it
+    assert "numpy.random" not in modules

@@ -1,7 +1,8 @@
 """The artifact writers against references that format one value at a time, at benchmark size.
 
-knowledge_map.json is formatted over arrays (embedding.format_rows); the
-projection CSV and the SVG are one Python % over the whole text.  The n=12
+knowledge_map.json is formatted over arrays (embedding.format_rows: rows
+padded with 0xFF, compacted by one bytes.translate); the projection CSV and
+the SVG are one Python % over the whole text.  The n=12
 digests in test_cli.py pin a small run.  These runs are the benchmark's own
 configs, so every value the benchmark writes meets a writer that formats it
 one value at a time.
