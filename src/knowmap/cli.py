@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .drift import DriftConfig, draw_steps, export_result, run_drift, settle_step
-from .embedding import write_embedding_csv
+from .embedding import id_column, write_embedding_csv
 from .errors import KnowmapError, MalformedCsvError
 from .features import node_keys
 from .graph import TopologyKind, build_topology
@@ -124,7 +124,7 @@ def _run_embed(args: argparse.Namespace) -> int:
     history: list[np.ndarray] = []
     (rows,) = draw_steps(config, node_keys(graph.node_ids), [0])  # the drift baseline's step
     settle_step(config, graph, rows, history=history)
-    write_embedding_csv(args.out, graph.node_ids, history)
+    write_embedding_csv(args.out, id_column(graph.node_ids), history)
     print(f"wrote {args.out} ({graph.node_count} nodes x {len(history)} rounds)")
     return EXIT_OK
 

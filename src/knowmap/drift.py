@@ -21,6 +21,7 @@ from .embedding import (
     aggregate,
     csv_fields,
     embedding_round,
+    id_column,
     init_layers,
 )
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidConfigError
@@ -303,7 +304,8 @@ def export_result(result: DriftResult, directory: str | Path) -> list[Path]:
     write_projection_csv(target(PROJECTION_FILE), result)
     write_knowledge_map_json(target(KNOWLEDGE_MAP_FILE), result.baseline_map)
     write_drift_svg(target(PLOT_FILE), result)
-    write_knowledge_map_csv(target("embeddings_baseline.csv"), result.baseline_map)
+    ids = id_column(result.baseline_map.node_ids)  # every map has the graph's node_ids
+    write_knowledge_map_csv(target("embeddings_baseline.csv"), result.baseline_map, ids)
     for workload, step_map in zip(result.config.sweep, result.step_maps):
-        write_knowledge_map_csv(target(f"embeddings_w{workload:03d}.csv"), step_map)
+        write_knowledge_map_csv(target(f"embeddings_w{workload:03d}.csv"), step_map, ids)
     return written

@@ -60,14 +60,14 @@ class Layer:
 def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer:
     """Draw both weight matrices uniformly from [-a, a], a = sqrt(6/(in+out)).
 
+    One (2, out_dim, in_dim) draw holds the self, then the neighbor weights.
     The bound keeps activations in a comparable range across dimensions.
     """
     check_count("in_dim", in_dim, 1)
     check_count("out_dim", out_dim, 1)
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_material)))
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    self_w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    neighbor_w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    rng = np.random.default_rng(list(seed_material))
+    self_w, neighbor_w = rng.uniform(-bound, bound, size=(2, out_dim, in_dim))
     return Layer(self_weights=self_w, neighbor_weights=neighbor_w)
 
 
@@ -127,35 +127,35 @@ def embedding_round(
 
 def write_embedding_csv(
     path: str | Path,
-    node_ids: Sequence[str],
+    ids: np.ndarray,
     snapshots: Sequence[np.ndarray],
     first_round: int = 1,
 ) -> None:
     """Write per-round (n x k) state matrices as CSV: node_id,round,e0..e{k-1}.
 
-    Rounds are numbered from first_round.  Rows are ordered by round, then
-    node_ids order, and floats are written as "%.17g" (format_rows) so reruns
-    are byte-identical.  The file is UTF-8 text whatever the locale, written
-    a chunk at a time.  Every snapshot must be (len(node_ids), k), checked
-    before the file is opened.
+    ids is the id_column of the n node ids, built once by the caller for
+    every file of a run.  Rounds are numbered from first_round.  Rows are
+    ordered by round, then id order, and floats are written as "%.17g"
+    (format_rows) so reruns are byte-identical.  The file is UTF-8 text
+    whatever the locale, written a chunk at a time.  Every snapshot must be
+    (n, k), checked before the file is opened.
     """
-    if len(snapshots) == 0 or len(node_ids) == 0:
+    if len(snapshots) == 0 or len(ids) == 0:
         raise EmptyInputError("no embeddings to write")
     first = np.shape(snapshots[0])
-    expected = (len(node_ids), first[1] if len(first) == 2 and first[1] > 0 else -1)
+    expected = (len(ids), first[1] if len(first) == 2 and first[1] > 0 else -1)
     for round_index, snapshot in enumerate(snapshots, start=first_round):
         if np.shape(snapshot) != expected:
             raise DimensionMismatchError(
                 f"round {round_index} states have shape {np.shape(snapshot)}, "
-                f"expected ({len(node_ids)}, k), one k >= 1 for every round"
+                f"expected ({len(ids)}, k), one k >= 1 for every round"
             )
     header = ",".join(["node_id", "round"] + [f"e{i}" for i in range(expected[1])])
-    fields = text_block(csv_fields(node_ids))
     with open(path, "wb") as handle:
         handle.write(header.encode("utf-8") + b"\r\n")
         for round_index, snapshot in enumerate(snapshots, start=first_round):
             middle = constant(b",%d," % round_index)
-            for chunk in format_rows([fields, middle], snapshot, b",", [_CRLF]):
+            for chunk in format_rows([ids, middle], snapshot, b",", [_CRLF]):
                 handle.write(chunk)
 
 
@@ -173,15 +173,16 @@ def csv_fields(texts: Sequence[str]) -> list[str]:
     return list(texts)
 
 
+def id_column(node_ids: Sequence[str]) -> np.ndarray:
+    """The node_id field of every row, as the text block write_embedding_csv takes."""
+    return text_block(csv_fields(node_ids))
+
+
 def text_block(texts: Sequence[str]) -> np.ndarray:
     """texts as UTF-8 rows of a uint8 block, each padded with 0xFF, a byte UTF-8 never writes."""
-    if "".join(texts).isascii():  # latin-1 writes an ASCII character as its UTF-8 byte
-        width = max(map(len, texts), default=0)
-        data = "".join([text.ljust(width, "\xff") for text in texts]).encode("latin-1")
-    else:
-        encoded = [text.encode("utf-8") for text in texts]
-        width = max(map(len, encoded), default=0)
-        data = b"".join([text.ljust(width, b"\xff") for text in encoded])
+    encoded = [text.encode("utf-8") for text in texts]
+    width = max(map(len, encoded), default=0)
+    data = b"".join([text.ljust(width, b"\xff") for text in encoded])
     return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
@@ -283,25 +284,18 @@ def _pad_trailing_zeros(words: np.ndarray) -> np.ndarray:
 def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-4, 1).
 
-    N = magnitude * 10**(16 - k) rounded half to even, with k log10's
-    estimate corrected until 10**16 <= N < 10**17 holds for the exact
-    product.  Dekker's two-product gives that product as p + err, both exact
-    doubles; p >= 10**16 > 2**53 is an even integer, so p + rint(err) is N,
-    rounded half to even, and the exact product is N plus the residual
-    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1), the
-    largest double below a power of ten lies more than 8 units of the 17th
-    digit below it.
+    k comes from three exact comparisons: for j = 1, 2, 3 the double nearest
+    10**-j lies above 10**-j and the double below it lies below, so the
+    exact product magnitude * 10**(16 - k) is in [10**16, 10**17).  N is
+    that product rounded half to even.  Dekker's two-product gives it as
+    p + err, both exact doubles; p >= 10**16 > 2**53 is an even integer, so
+    p + rint(err) is N, and the product is N plus the residual
+    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1), the largest
+    double below a power of ten lies more than 8 units of the 17th digit
+    below it.
     """
-    k = np.floor(np.log10(magnitude)).astype(np.intp)
-    while True:
-        p, err = _times_power_of_ten(magnitude, 16 - k)
-        if not ((p <= 1e16) | (p >= 1e17)).any():  # every N in range, none at an edge
-            break
-        step = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.intp)
-        step -= (p < 1e16) | ((p == 1e16) & (err < 0))
-        if not step.any():
-            break
-        k += step
+    k = -1 - (magnitude < 0.1) - (magnitude < 0.01) - (magnitude < 0.001)
+    p, err = _times_power_of_ten(magnitude, 16 - k)
     rounded = np.rint(err)
     return k, p.astype(np.int64) + rounded.astype(np.int64), err - rounded
 

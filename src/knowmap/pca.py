@@ -8,6 +8,7 @@ tests check it against an independent solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, sqrt
 
 import numpy as np
 
@@ -37,16 +38,12 @@ class PCAModel:
     total_variance: float
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def jacobi_eigh(symmetric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a symmetric matrix.
 
     Cyclic sweeps of Givens rotations, each zeroing one off-diagonal entry,
-    until the off-diagonal Frobenius norm falls below tolerance.
+    until the off-diagonal Frobenius norm falls below tolerance.  The matrix
+    sits above the eigenvectors in one array, so one column update turns both.
     """
     a = np.array(symmetric, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -54,31 +51,28 @@ def jacobi_eigh(symmetric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
     d = a.shape[0]
-    v = np.eye(d)
+    stack = np.vstack([a, np.eye(d)])
+    a, v = stack[:d], stack[d:]
     for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) < JACOBI_OFF_TOLERANCE:
+        if np.linalg.norm(a - np.diag(np.diag(a))) < JACOBI_OFF_TOLERANCE:  # off-diagonal norm
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
-                if a[p, q] == 0.0:
+                apq = a.item(p, q)
+                if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                tau = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
+                t = copysign(1.0, tau) / (abs(tau) + sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
+                col_p, col_q = stack[:, p].copy(), stack[:, q].copy()
+                stack[:, p] = c * col_p - s * col_q
+                stack[:, q] = s * col_p + c * col_q
                 row_p, row_q = a[p, :].copy(), a[q, :].copy()
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
     return values[order], v[:, order]

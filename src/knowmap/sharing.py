@@ -17,7 +17,7 @@ from .embedding import (
     text_block,
     write_embedding_csv,
 )
-from .errors import EmptyInputError, InvalidConfigError, NonFiniteValueError
+from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError, NonFiniteValueError
 from .features import is_real
 from .graph import KnowledgeGraph, check_count
 
@@ -93,6 +93,8 @@ def run_sharing(
 def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> None:
     """Write json.dump(indent=2, sort_keys=True) text, one entry a row; floats as repr."""
     states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
+    if states.shape[1] == 0:  # json.dump writes an empty list as [], not a row of values
+        raise DimensionMismatchError(f"knowledge map states have shape {states.shape}, no column")
     if not (np.isfinite(states).all() and math.isfinite(final_delta)):  # repr would write nan
         raise NonFiniteValueError("knowledge map states and final delta must be finite")
     ids = knowledge_map.node_ids
@@ -110,8 +112,6 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
         handle.write(b'  "round": %d\n}\n' % knowledge_map.rounds_used)
 
 
-def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap) -> None:
-    """Write the settled embeddings as write_embedding_csv does, round = rounds_used."""
-    write_embedding_csv(
-        path, knowledge_map.node_ids, [knowledge_map.states], first_round=knowledge_map.rounds_used
-    )
+def write_knowledge_map_csv(path: str | Path, knowledge_map: KnowledgeMap, ids: np.ndarray) -> None:
+    """write_embedding_csv of the settled states, ids their id_column, round = rounds_used."""
+    write_embedding_csv(path, ids, [knowledge_map.states], first_round=knowledge_map.rounds_used)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import knowmap.drift
+import knowmap.embedding
 from knowmap.drift import (
     DRAW_COLUMNS,
     MAX_DIMENSION,
@@ -559,3 +560,19 @@ def test_run_drift_draws_whole_steps_within_the_budget(monkeypatch, nodes, colum
     knowmap.drift.run_drift(DriftConfig(nodes=nodes, rounds=1))
     assert calls == columns
     assert all(c <= DRAW_COLUMNS or c == nodes for c in calls)
+
+
+def test_export_result_builds_one_id_column(monkeypatch, tmp_path):
+    # the 12 embedding CSVs share one node-id block; the JSON keys go through
+    # sharing's own name for text_block, which this does not count
+    calls = []
+    original = knowmap.embedding.text_block
+
+    def counted(texts):
+        calls.append(len(texts))
+        return original(texts)
+
+    result = knowmap.drift.run_drift(DriftConfig(topology=TopologyKind.RING, nodes=12))
+    monkeypatch.setattr(knowmap.embedding, "text_block", counted)
+    knowmap.drift.export_result(result, tmp_path)
+    assert calls == [12]

@@ -19,6 +19,7 @@ from knowmap.embedding import (
     csv_field,
     embedding_round,
     format_rows,
+    id_column,
     init_layer,
     init_layers,
     text_block,
@@ -372,7 +373,7 @@ def test_embedding_csv_round_trip(tmp_path):
     graph, states = ring_states(n=3)
     snapshots = settle_rounds(graph, states, dimension=2, rounds=2, seed=4)
     path = tmp_path / "emb.csv"
-    write_embedding_csv(path, graph.node_ids, snapshots)
+    write_embedding_csv(path, id_column(graph.node_ids), snapshots)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["node_id", "round", "e0", "e1"]
@@ -387,7 +388,7 @@ def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
     ids = ["plain", "a,b", 'say "hi"', "two\nlines", ""]
     snapshot = np.tile([0.1, -0.0, 1e-300], (len(ids), 1))
     path = tmp_path / "emb.csv"
-    write_embedding_csv(path, ids, [snapshot], first_round=3)
+    write_embedding_csv(path, id_column(ids), [snapshot], first_round=3)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["node_id", "round", "e0", "e1", "e2"])
@@ -398,7 +399,7 @@ def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
 
 def test_embedding_csv_rejects_empty(tmp_path):
     with pytest.raises(EmptyInputError):
-        write_embedding_csv(tmp_path / "x.csv", [], [])
+        write_embedding_csv(tmp_path / "x.csv", id_column([]), [])
 
 
 def test_embedding_csv_rejects_mismatched_snapshots_before_opening(tmp_path):
@@ -413,7 +414,7 @@ def test_embedding_csv_rejects_mismatched_snapshots_before_opening(tmp_path):
     )
     for snapshots in cases:
         with pytest.raises(DimensionMismatchError, match="states have shape"):
-            write_embedding_csv(path, ids, snapshots)
+            write_embedding_csv(path, id_column(ids), snapshots)
         assert not path.exists()
 
 
@@ -465,8 +466,8 @@ def test_csv_rows_round_17_digit_ties_half_to_even():
 
 
 def test_csv_rows_at_powers_of_ten_and_the_fixed_notation_edges():
-    # log10 of a double just below a power of ten rounds up to it, so the
-    # first exponent estimate is one too high there
+    # the array path takes its exponent from comparisons with 0.1, 0.01 and
+    # 0.001; the doubles either side of each power of ten test those edges
     powers = np.array([10.0**j for j in range(-6, 18)] + [1e-4, 1e16])
     values = np.concatenate(
         [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), [9.99999999999999999e-5]]
@@ -549,10 +550,10 @@ def test_embedding_csv_bytes_equal_the_per_row_writer(tmp_path):
     ids = [ODD_IDS[i % len(ODD_IDS)] + str(i) for i in range(n)]
     snapshots = [awkward_values(rng, (n, 3)) for _ in range(3)]
     snapshots.append(rng.uniform(0.2, 0.5, (n, 3)))
-    # the same ids in ASCII, for text_block's ASCII path
+    # the same ids in ASCII as well
     ascii_ids = [node_id.encode("ascii", "backslashreplace").decode() for node_id in ids]
     for node_ids in (ids, ascii_ids):
-        write_embedding_csv(tmp_path / "new.csv", node_ids, snapshots, first_round=4)
+        write_embedding_csv(tmp_path / "new.csv", id_column(node_ids), snapshots, first_round=4)
         per_row_embedding_csv(tmp_path / "old.csv", node_ids, snapshots, first_round=4)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -579,7 +580,7 @@ def test_embedding_csv_memory_peak_at_3000_by_8(tmp_path):
     states = np.random.default_rng(7).uniform(0.2, 0.5, (3000, 8))
     tracemalloc.start()
     try:
-        write_embedding_csv(tmp_path / "big.csv", ids, [states])
+        write_embedding_csv(tmp_path / "big.csv", id_column(ids), [states])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

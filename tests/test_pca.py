@@ -1,5 +1,7 @@
 """Jacobi eigensolver and PCA tests, checked against an independent solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,21 @@ def test_jacobi_reconstructs_the_matrix(seed):
     assert np.all(np.diff(values) >= 0.0)
     assert np.allclose(vectors.T @ vectors, np.eye(a.shape[0]), atol=1e-9)
     assert np.allclose(vectors @ np.diag(values) @ vectors.T, a, atol=1e-9)
+
+
+# sha256 of values.tobytes() + vectors.tobytes() of jacobi_eigh(random_symmetric(d, d)):
+# the solver's bits at widths the drift pins do not reach (they reach only d = 8)
+JACOBI_SHA256 = {
+    2: "3c9eeab89031ccc5da31f8f542adce52f627db461a7fa5098a8454df2b5b9765",
+    8: "de8ac271646164c84f2d8d95372c7fdc1f91e3a0c4e680040c87ac5275a20245",
+    33: "053a4017b7086dc170c203ef94ff7fb4b814c083ae4cab2d6c7cb6f38915c3ee",
+}
+
+
+@pytest.mark.parametrize("d", sorted(JACOBI_SHA256))
+def test_jacobi_bits_are_pinned(d):
+    values, vectors = jacobi_eigh(random_symmetric(d, d))
+    assert hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest() == JACOBI_SHA256[d]
 
 
 def test_fit_pca_collinear_rows():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from knowmap.drift import settle
-from knowmap.embedding import Layer, embedding_round, init_layers
+from knowmap.embedding import Layer, embedding_round, id_column, init_layers
 from knowmap.errors import (
+    DimensionMismatchError,
     EmptyInputError,
     InvalidConfigError,
     NonFiniteValueError,
@@ -143,6 +144,15 @@ def test_knowledge_map_dict_shape(tmp_path):
     assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
+def test_knowledge_map_json_rejects_states_with_no_column(tmp_path):
+    # json.dump would write "a": [], which no row of values can give
+    kmap = KnowledgeMap(["a", "b"], np.zeros((2, 0)), 1, True, 0.0)
+    path = tmp_path / "map.json"
+    with pytest.raises(DimensionMismatchError, match="no column"):
+        write_knowledge_map_json(path, kmap)
+    assert not path.exists()
+
+
 def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
     graph, states, layer = ring_setup()
     result = run_sharing(graph, states, layer, MAX_ROUNDS, TOLERANCE)
@@ -227,7 +237,7 @@ def test_write_knowledge_map_csv_layout(tmp_path):
         final_delta=0.0,
     )
     path = tmp_path / "map.csv"
-    write_knowledge_map_csv(path, kmap)
+    write_knowledge_map_csv(path, kmap, id_column(kmap.node_ids))
     lines = path.read_text().splitlines()
     assert lines[0] == "node_id,round,e0,e1"
     assert lines[1].startswith("node-0,4,")
@@ -242,4 +252,4 @@ def test_write_knowledge_map_csv_rejects_empty(tmp_path):
         node_ids=[], states=np.zeros((0, 2)), rounds_used=0, converged=False, final_delta=0.0
     )
     with pytest.raises(EmptyInputError):
-        write_knowledge_map_csv(tmp_path / "map.csv", kmap)
+        write_knowledge_map_csv(tmp_path / "map.csv", kmap, id_column(kmap.node_ids))
