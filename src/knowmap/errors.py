@@ -5,22 +5,6 @@ class KnowmapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DuplicateNodeError(KnowmapError):
-    """A node id was inserted twice into the same graph."""
-
-
-class MissingEndpointError(KnowmapError):
-    """A link referenced a node position that is not in the graph."""
-
-
-class DuplicateEdgeError(KnowmapError):
-    """A link was given twice, or joins a node to itself."""
-
-
-class UnknownNodeError(KnowmapError):
-    """A node id is an empty string."""
-
-
 class InvalidConfigError(KnowmapError, ValueError):
     """A config value is of the wrong type, not finite or out of range; still a ValueError."""
 

@@ -1,4 +1,4 @@
-"""The network as a padded neighbour table, and deterministic topology builders.
+"""The network as a padded neighbour table, built by formula for each topology.
 
 A graph is its sorted node ids plus, for every node, the ascending positions
 of its neighbours padded to the largest degree: the fixed-size adjacency the
@@ -13,17 +13,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdgeError,
-    DuplicateNodeError,
-    InvalidConfigError,
-    MissingEndpointError,
-    UnknownNodeError,
-)
+from .errors import InvalidConfigError
 
 CONNECTED_TO = "CONNECTED_TO"
 COMPUTATIONAL_NODE = "ComputationalNode"
@@ -64,37 +57,6 @@ class KnowledgeGraph:
     node_ids: list[str]  # sorted
     index: np.ndarray  # (n, max degree) positions, padded with n
     degree: np.ndarray  # (n,)
-
-    @classmethod
-    def from_links(cls, names: Sequence[str], links: Any) -> KnowledgeGraph:
-        """Graph on names whose undirected links are (m, 2) integer positions into names."""
-        n = len(names)
-        if not all(names):
-            raise UnknownNodeError("node id must be a non-empty string")
-        order = sorted(range(n), key=names.__getitem__)
-        node_ids = [names[i] for i in order]
-        for a, b in zip(node_ids, node_ids[1:]):
-            if a == b:
-                raise DuplicateNodeError(f"node {a!r} already exists")
-        links = np.asarray(links)
-        if links.size and not np.issubdtype(links.dtype, np.integer):  # bool is not integer
-            raise MissingEndpointError(f"link endpoints must be integers, got dtype {links.dtype}")
-        links = links.astype(np.intp, copy=False).reshape(len(links), 2)
-        if links.size and (links.min() < 0 or links.max() >= n):
-            raise MissingEndpointError(f"link endpoints must be positions in [0, {n})")
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        a, b = rank[links[:, 0]], rank[links[:, 1]]
-        # Both directions of every link as one key node * n + neighbour; n * n < 2**63 fits intp.
-        pairs = np.concatenate([a * n + b, b * n + a])
-        pairs.sort(kind="stable")  # timsort: quick on sorted runs; pages in no SIMD code
-        if (pairs[1:] == pairs[:-1]).any():  # a self link, or a link given twice either way
-            raise DuplicateEdgeError("links must join two distinct nodes at most once")
-        node, neighbor = np.divmod(pairs, n)
-        degree = np.bincount(node, minlength=n)
-        index = np.full((n, int(degree.max(initial=0))), n, dtype=np.intp)
-        index[np.arange(index.shape[1]) < degree[:, None]] = neighbor  # row-major fill
-        return cls(node_ids=node_ids, index=index, degree=degree)
 
     @cached_property
     def adjacency(self) -> np.ndarray | None:
@@ -141,8 +103,9 @@ def node_name(index: int) -> str:
 def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
     """Build one of the three experimental networks on "node-0" .. "node-(n-1)".
 
-    Ring links i to i+1 mod n and line links i to i+1, through from_links;
-    full links every pair, and its table is built in closed form.
+    Every table is built in closed form, with no link array and no sort of
+    links: full links every pair, ring links node k to k-1 and k+1 mod n, and
+    line links k to k-1 and k+1 within 0..n-1.
     A network with more than MAX_EDGES directed edges is rejected.
     """
     check_topology(kind, n)
@@ -158,8 +121,15 @@ def build_topology(kind: TopologyKind, n: int) -> KnowledgeGraph:
         j = np.arange(1, size)
         index = j - (j <= i[:, None])
         return KnowledgeGraph(sorted(names), index, np.full(size, size - 1, dtype=np.intp))
-    if kind is TopologyKind.RING:
-        links = np.column_stack([i, (i + 1) % size])
-    else:
-        links = np.column_stack([i[:-1], i[1:]])
-    return KnowledgeGraph.from_links(names, links)
+    # Node k links k - 1 and k + 1: mod n on a ring; a line's two ends pad with n.
+    order = sorted(range(size), key=names.__getitem__)  # node k at each sorted position
+    k = np.array(order, dtype=np.intp)
+    rank = np.empty(size, dtype=np.intp)
+    rank[k] = i
+    wrap = kind is TopologyKind.RING
+    index = np.sort(np.column_stack([
+        np.where(wrap | (k > 0), rank[k - 1], size),
+        np.where(wrap | (k < size - 1), rank[(k + 1) % size], size),
+    ]), axis=1)
+    degree = (index < size).sum(axis=1)
+    return KnowledgeGraph([names[j] for j in order], index[:, : degree.max()], degree)

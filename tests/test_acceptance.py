@@ -10,11 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from test_graph import graph_from_links
 
 from knowmap.cli import main
 from knowmap.drift import DriftConfig, run_drift, settle
 from knowmap.embedding import init_layers
-from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
+from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.pca import fit_pca, transform
 
 ALL_TOPOLOGIES = (TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.LINE)
@@ -121,12 +122,11 @@ def all_graphs_up_to_four_nodes():
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(2 ** len(pairs)):
             chosen = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
-            links = np.array(chosen, dtype=int).reshape(-1, 2)
             neighbors = {v: [] for v in names}
             for a, b in chosen:
                 neighbors[names[a]].append(names[b])
                 neighbors[names[b]].append(names[a])
-            graphs.append((KnowledgeGraph.from_links(names, links), neighbors))
+            graphs.append((graph_from_links(names, chosen), neighbors))
     return graphs
 
 

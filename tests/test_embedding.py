@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from test_graph import graph_from_links
 
 from knowmap.drift import DriftConfig, run_drift, settle, write_projection_csv
 from knowmap.embedding import (
@@ -124,7 +125,7 @@ def test_aggregate_is_permutation_invariant(vecs, rnd):
 
 
 def isolated(node_id="solo"):
-    return KnowledgeGraph.from_links([node_id], [])
+    return graph_from_links([node_id], [])
 
 
 def test_normalize_unit_length():
@@ -308,7 +309,7 @@ def table_round(graph, states, layer):
 def test_both_neighbour_sums_match_the_padded_table(n, density, seed):
     rng = np.random.default_rng(seed)
     pairs = np.column_stack(np.triu_indices(n, k=1))
-    graph = KnowledgeGraph.from_links(
+    graph = graph_from_links(
         [node_name(i) for i in range(n)], pairs[rng.random(len(pairs)) < density]
     )
     states = rng.uniform(0.0, 1.0, (n, 3))
@@ -336,7 +337,7 @@ def test_receptive_field_is_bit_exact_on_the_dense_branch():
     links = [(c + i, c + j) for c in (0, 6) for i in range(6) for j in range(i + 1, 6)]
     path = [0, 12, 13, 14, 15, 6]
     links += list(zip(path, path[1:]))
-    graph = KnowledgeGraph.from_links(names, links)
+    graph = graph_from_links(names, links)
     assert graph.adjacency is not None and graph.adjacency.sum() < 16 * 15
     hops = {"a0": 1, "a2": 1, "a3": 1, "a4": 1, "a5": 1, "p0": 2, "p1": 3, "p2": 4, "p3": 5}
     hops.update({"b0": 6, **{f"b{i}": 7 for i in range(1, 6)}})  # from the target, a1
@@ -355,7 +356,7 @@ def test_receptive_field_is_bit_exact_on_the_dense_branch():
 
 
 def test_single_isolated_node_is_its_own_context():
-    graph = KnowledgeGraph.from_links(["solo"], [])
+    graph = graph_from_links(["solo"], [])
     (result,) = settle_rounds(graph, np.array([[0.2, 0.8, 1.0]]), dimension=3, rounds=1, seed=4)
     input_layer, _ = init_layers(3, 4)
     direct = unit_sigmoid(input_layer.self_weights @ np.array([0.2, 0.8, 1.0]))

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knowmap.errors import (
-    DuplicateEdgeError,
-    DuplicateNodeError,
-    InvalidConfigError,
-    MissingEndpointError,
-    UnknownNodeError,
-)
+from knowmap.errors import InvalidConfigError
 from knowmap.graph import (
     COMPUTATIONAL_NODE,
     CONNECTED_TO,
@@ -46,43 +40,40 @@ def snapshot(graph):
     }
 
 
+def graph_from_links(names, links):
+    """Reference graph on names whose undirected links are (a, b) positions into names.
+
+    Plain loops, one link at a time: each link joins both nodes' rows, then
+    every row is sorted and padded with n, the table build_topology makes.
+    """
+    n = len(names)
+    node_ids = sorted(names)
+    position = {node_id: p for p, node_id in enumerate(node_ids)}
+    rows = [[] for _ in range(n)]
+    for a, b in links:
+        a, b = position[names[a]], position[names[b]]
+        rows[a].append(b)
+        rows[b].append(a)
+    width = max(map(len, rows), default=0)
+    index = [sorted(row) + [n] * (width - len(row)) for row in rows]
+    degree = [len(row) for row in rows]
+    return KnowledgeGraph(
+        node_ids, np.array(index, dtype=np.intp).reshape(n, width), np.array(degree, dtype=np.intp)
+    )
+
+
 def small_graph():
     # c-a and b-a, given out of name order and in both orientations
-    return KnowledgeGraph.from_links(["c", "a", "b"], [[0, 1], [1, 2]])
-
-
-def test_duplicate_node_rejected():
-    with pytest.raises(DuplicateNodeError):
-        KnowledgeGraph.from_links(["a", "b", "a"], [])
-
-
-def test_node_needs_an_id():
-    with pytest.raises(UnknownNodeError):
-        KnowledgeGraph.from_links(["a", ""], [])
-
-
-def test_edge_endpoints_must_exist():
-    for link in ([0, 2], [2, 0], [-1, 0]):
-        with pytest.raises(MissingEndpointError):
-            KnowledgeGraph.from_links(["a", "b"], [link])
-    # a position must be an integer: no truncating floats, no bools read as 0/1
-    for links in ([[0.9, 1.2], [1, 2.99]], [[0.0, 1.0]], np.array([[False, True]])):
-        with pytest.raises(MissingEndpointError, match="must be integers"):
-            KnowledgeGraph.from_links(["a", "b", "c"], links)
-    assert KnowledgeGraph.from_links(["a", "b"], []).edge_count == 0  # [] reads as float64
-
-
-def test_duplicate_edge_rejected():
-    for links in ([[0, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 1]]):
-        with pytest.raises(DuplicateEdgeError):
-            KnowledgeGraph.from_links(["a", "b"], links)
+    return graph_from_links(["c", "a", "b"], [[0, 1], [1, 2]])
 
 
 def test_add_link_is_bidirectional():
-    kg = KnowledgeGraph.from_links(["a", "b"], [[0, 1]])
-    assert neighbors(kg, "a") == ["b"]
-    assert neighbors(kg, "b") == ["a"]
+    # line n = 2 is one link, read from both ends, in a one-column table
+    kg = build_topology(TopologyKind.LINE, 2)
+    assert neighbors(kg, "node-0") == ["node-1"]
+    assert neighbors(kg, "node-1") == ["node-0"]
     assert kg.edge_count == 2
+    assert kg.index.tolist() == [[1], [0]]
 
 
 def test_node_ids_and_edges_are_sorted():
@@ -200,12 +191,25 @@ TOPOLOGY_12_SHA256 = {
     TopologyKind.FULLY_CONNECTED: "cd0a14cff9a5c201805006d8f0773a9098dba17dc864ff0a45b6e22efa75e211",
     TopologyKind.LINE: "f802c73b62a9e7f7f4f55e2a660e5b837c0c37a931536eb7bdb8508ae62e0e9a",
 }
+# at 1001 nodes node-1000 sorts between node-100 and node-101, so a node's
+# neighbours k - 1 and k + 1 are not the positions next to its own
+TOPOLOGY_1001_SHA256 = {
+    TopologyKind.RING: "14f246de13d673bb834e0c47aaa27bef7efe2196d36e67cfbec89d4e96e75ddd",
+    TopologyKind.LINE: "cf9b1bd9034d7b0c27c11635529be38bf0b1ad1db6489927074369b922b653bc",
+}
 
 
-@pytest.mark.parametrize("kind", list(TopologyKind))
-def test_topology_json_is_pinned(kind):
-    text = build_topology(kind, 12).canonical_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_12_SHA256[kind]
+@pytest.mark.parametrize(
+    "kind,n,digest",
+    [pytest.param(kind, 12, digest, id=str(kind)) for kind, digest in TOPOLOGY_12_SHA256.items()]
+    + [
+        pytest.param(kind, 1001, digest, id=f"{kind}-1001")
+        for kind, digest in TOPOLOGY_1001_SHA256.items()
+    ],
+)
+def test_topology_json_is_pinned(kind, n, digest):
+    text = build_topology(kind, n).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_full_400_topology_file_is_pinned():
@@ -235,14 +239,14 @@ def test_neighbor_table_pads_rows_in_node_id_order():
 
 
 def test_neighbor_table_of_isolated_nodes_has_no_columns():
-    kg = KnowledgeGraph.from_links(["a", "b"], np.zeros((0, 2), dtype=int))
+    kg = graph_from_links(["a", "b"], [])
     assert kg.index.shape == (2, 0)
     assert list(kg.degree) == [0, 0]
     assert json.loads(kg.canonical_json())["edges"] == []
 
 
 def test_empty_graph():
-    kg = KnowledgeGraph.from_links([], [])
+    kg = graph_from_links([], [])
     assert kg.node_ids == []
     assert kg.index.shape == (0, 0)
     assert kg.edge_count == 0
@@ -266,19 +270,44 @@ def test_adjacency_is_built_without_copies_of_the_table():
     assert peak < 1.5 * adjacency.nbytes
 
 
-@pytest.mark.parametrize("n", [*range(2, 65), 300])
-def test_full_topology_in_closed_form_is_the_linked_graph(n):
-    graph = build_topology(TopologyKind.FULLY_CONNECTED, n)
-    # the validating constructor on every pair as one link
-    names = [node_name(k) for k in range(n)]
-    reference = KnowledgeGraph.from_links(names, np.column_stack(np.triu_indices(n, k=1)))
+def topology_links(kind, n):
+    """Each kind's own links, as (k, k') pairs of node numbers."""
+    if kind is TopologyKind.FULLY_CONNECTED:
+        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if kind is TopologyKind.RING:
+        return [(k, (k + 1) % n) for k in range(n)]
+    return [(k, k + 1) for k in range(n - 1)]
+
+
+def check_closed_form(kind, n):
+    """build_topology(kind, n) against graph_from_links on the kind's own links."""
+    graph = build_topology(kind, n)
+    reference = graph_from_links([node_name(k) for k in range(n)], topology_links(kind, n))
     assert graph.node_ids == reference.node_ids
     for field in ("index", "degree"):
         built, linked = getattr(graph, field), getattr(reference, field)
         assert built.dtype == linked.dtype == np.intp
         assert np.array_equal(built, linked)
     if n == 300:
-        assert np.array_equal(graph.adjacency, reference.adjacency)
+        # the dense matrix for full; ring and line stay on the table, with no matrix
+        dense = kind is TopologyKind.FULLY_CONNECTED
+        assert (graph.adjacency is not None) == (reference.adjacency is not None) == dense
+        if dense:
+            assert np.array_equal(graph.adjacency, reference.adjacency)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 300, 1000])
+def test_full_topology_in_closed_form_is_the_linked_graph(n):
+    check_closed_form(TopologyKind.FULLY_CONNECTED, n)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(TopologyKind.RING, n) for n in [*range(3, 65), 300, 1000]]
+    + [(TopologyKind.LINE, n) for n in [*range(2, 65), 300, 1000]],
+)
+def test_ring_and_line_in_closed_form_are_the_linked_graphs(kind, n):
+    check_closed_form(kind, n)
 
 
 def test_full_topology_is_built_without_a_link_array():
@@ -294,44 +323,6 @@ def test_canonical_json_is_joined_once():
     assert peak < 2.5 * len(text)
 
 
-@st.composite
-def graphs_as_links(draw):
-    """Distinct names, a set of distinct non-self links, and a relabelling."""
-    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
-    n = len(names)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    links = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    perm = draw(st.permutations(range(n)))
-    flips = draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
-    return names, links, perm, flips
-
-
-@given(graphs_as_links(), st.randoms(use_true_random=False))
-def test_from_links_ignores_name_order_link_order_and_orientation(case, rnd):
-    names, links, perm, flips = case
-    reference = KnowledgeGraph.from_links(names, np.array(links, dtype=int).reshape(-1, 2))
-    # the same graph with names permuted, links shuffled and some reversed
-    position = {old: new for new, old in enumerate(perm)}
-    moved = [
-        (position[b], position[a]) if flip else (position[a], position[b])
-        for (a, b), flip in zip(links, flips)
-    ]
-    rnd.shuffle(moved)
-    other = KnowledgeGraph.from_links(
-        [names[i] for i in perm], np.array(moved, dtype=int).reshape(-1, 2)
-    )
-    assert other.node_ids == reference.node_ids == sorted(names)
-    assert np.array_equal(other.index, reference.index)
-    assert np.array_equal(other.degree, reference.degree)
-    for node_id in reference.node_ids:
-        expected = sorted(
-            names[b if names[a] == node_id else a]
-            for a, b in links
-            if node_id in (names[a], names[b])
-        )
-        assert neighbors(reference, node_id) == expected
-
-
 # ids json must escape: quotes, backslashes, control characters, non-ASCII
 AWKWARD_IDS = st.sampled_from(['"', "\\", 'a"b\\c', "\n", "\x00\x1f\x7f", "é", "\u2028", "😀"])
 
@@ -343,5 +334,5 @@ AWKWARD_IDS = st.sampled_from(['"', "\\", 'a"b\\c', "\n", "\x00\x1f\x7f", "é", 
 def test_canonical_json_is_json_dumps_of_the_snapshot(names, data):
     pairs = [(a, b) for a in range(len(names)) for b in range(a + 1, len(names))]
     links = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    kg = KnowledgeGraph.from_links(names, np.array(links, dtype=int).reshape(-1, 2))
+    kg = graph_from_links(names, links)
     assert kg.canonical_json() == json.dumps(snapshot(kg), indent=2, sort_keys=True)
