@@ -6,13 +6,12 @@ projected back onto the unit sphere.  Repeating the round widens the
 receptive field by one hop.  A round works on an (n x d) state matrix, the
 mean aggregator of GraphSAGE (Hamilton et al. 2017) in matrix form.
 
-The neighbor sum has one fixed crossover.  A dense graph (4 * max degree > n)
-sums through one product with the graph's cached 0/1 adjacency; any other
-graph gathers one column of its padded neighbor table at a time, since an
-n x n product costs far more than a few gathers when nodes have few
-neighbors.  The network is fixed: the sigmoid is its one nonlinearity, so a
-row comes out all zero only where every mixed value is below about -709.8,
-where exp overflows and the sigmoid is 0.
+On a complete graph a node's neighbors are all the others, so its neighbor
+sum is the column sum less its own row, O(nd) a round; any other graph
+gathers one column of its padded neighbor table at a time.  The network is
+fixed: the sigmoid is its one nonlinearity, so a row comes out all zero only
+where every mixed value is below about -709.8, where exp overflows and the
+sigmoid is 0.
 
 The module also formats the embedding CSVs and knowledge_map.json: format_rows
 builds the "%.17g" or "%r" text of a block of rows over numpy arrays, byte for
@@ -106,8 +105,9 @@ def embedding_round(
         raise DimensionMismatchError(
             f"expected states of shape ({n}, {layer.in_dim}), got {states.shape}"
         )
-    if graph.adjacency is not None:
-        total = graph.adjacency @ states
+    if graph.index.shape[1] == n - 1 and (graph.degree == n - 1).all():
+        # Complete: the width test turns a ring or line away before the degree scan.
+        total = states.sum(axis=0) - states
     else:
         # Row n is the zero the padding points at, so a pad adds an exact zero
         # and each sum keeps the neighbor order of the table.

@@ -1,9 +1,8 @@
 """The network as a padded neighbour table, built by formula for each topology.
 
 A graph is its sorted node ids plus, for every node, the ascending positions
-of its neighbours padded to the largest degree: the fixed-size adjacency the
-embedding rounds read (GraphSAGE, Hamilton et al. 2017).  A dense graph
-also gives, on first use, its n x n 0/1 adjacency matrix.  Every link is
+of its neighbours padded to the largest degree: the fixed-size neighbourhood
+the embedding rounds read (GraphSAGE, Hamilton et al. 2017).  Every link is
 undirected, so in- and out-neighbourhoods coincide.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -57,16 +55,6 @@ class KnowledgeGraph:
     node_ids: list[str]  # sorted
     index: np.ndarray  # (n, max degree) positions, padded with n
     degree: np.ndarray  # (n,)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray | None:
-        """(n, n) 0/1 link matrix, built on first use, if 4 * max degree > n; else None."""
-        n = self.node_count
-        if 4 * self.index.shape[1] <= n:
-            return None
-        matrix = np.zeros((n, n + 1))  # column n takes the padding
-        matrix[np.arange(n)[:, None], self.index] = 1.0
-        return matrix[:, :n]
 
     @property
     def node_count(self) -> int:

@@ -284,9 +284,9 @@ EMBED_9_SHA256 = {
         5: "2a9f06b0971439f0ed04403530f3ab6ff7d52ab14840e4e40dc30671c46be6b3",
     },
     "full": {
-        1: "dc62819318b0ad88632cb10ae0d4b573e81e51d2c8134804b578694001d26540",
-        2: "fa6b5d5cdf83fe8af7d5c540255a281d44a19645d5cf0db86de96eb3faaef2f4",
-        5: "7ebf5c6c7cefdf8b92b228909a95b4f4180316cc5dc4d20131fbd6caca6b9674",
+        1: "68cf3307aa9704ecc7602253e2115fa1bec138a1e207b695203f89e2c1dc611a",
+        2: "0851b308a748b8b2710305afa69abdabc7bc0af8e01fc89abf6f63434f7e6590",
+        5: "3f6eb57154c2074aa7cac91088e97e17b3d2ac4fda1c2415fbaab74b1e00ca2a",
     },
     "line": {
         1: "a577b5a61b8d9e81de3c6775dad2b450db49ab9ec04e0995c14e59857f585656",
@@ -430,8 +430,8 @@ DRIFT_12_SHA256 = {
         "a0fae16c0824484f1585ab41c900605212eeda1eb71588c45886df8150aecd9c",
     ),
     "full": (
-        "57252bb556a3be76e9c6b1a5999c769e0e100684bf38098ce0233d63a0869d20",
-        "5b481999b97a125f7da02cf8768a76658236e8eefd25e6ccf0efa635094d9034",
+        "909dca3004bc47211be9881623c44c330fa83923c30d058f8f360e50e3a33b90",
+        "e66f5d0f791ec54372e465cc60fbc7323793eae741d9a1297b2531e289c31974",
     ),
     "line": (
         "91db9e37721507be7c5bd33eb968672f988eac94f8d6c72373a88f2d85184094",

@@ -1,6 +1,7 @@
 """Drift experiment harness tests: protocol, metrics, and exports."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -462,6 +463,59 @@ def test_target_is_the_outlier_at_the_extreme_step():
 
         ranked = sorted(ids, key=gap_to_rest, reverse=True)
         assert ranked[0] == result.config.target, kind.value
+
+
+@pytest.mark.parametrize("kind, nodes", [(TopologyKind.RING, 3), (TopologyKind.LINE, 2)])
+def test_a_graph_built_as_two_kinds_gives_one_result(kind, nodes):
+    # ring-3 is K3 and line-2 is K2: the same table, so the same bits as full
+    same = run_drift(DriftConfig(topology=kind, nodes=nodes))
+    full = run_drift(DriftConfig(topology=TopologyKind.FULLY_CONNECTED, nodes=nodes))
+    assert np.array_equal(same.graph.index, full.graph.index)
+    for a, b in zip([same.baseline_map, *same.step_maps], [full.baseline_map, *full.step_maps]):
+        assert a.states.tobytes() == b.states.tobytes()
+    assert same.centroid_distances == full.centroid_distances
+    assert same.projection.tobytes() == full.projection.tobytes()
+
+
+@functools.cache
+def still_run(kind, rounds, seed, k):
+    """Centroid distances and target rows of a fluctuation-free n=10 run targeting node-k."""
+    config = DriftConfig(topology=kind, nodes=10, seed=seed, rounds=rounds,
+                         fluctuation=0.0, target=node_name(k))
+    result = run_drift(config)
+    row = result.graph.node_ids.index(config.target)
+    rows = [step_map.states[row] for step_map in result.step_maps]
+    return np.column_stack([result.centroid_distances, *np.transpose(rows)])
+
+
+SYMMETRIC_PAIRS = {
+    TopologyKind.RING: [(0, k) for k in range(1, 10)],
+    TopologyKind.FULLY_CONNECTED: [(0, k) for k in range(1, 10)],
+    TopologyKind.LINE: [(k, 9 - k) for k in range(5)],
+}
+
+
+@pytest.mark.parametrize("seed", range(42, 47))
+@pytest.mark.parametrize("rounds", [2, 4])
+@pytest.mark.parametrize("kind", list(SYMMETRIC_PAIRS))
+def test_targets_an_automorphism_swaps_trace_one_curve(kind, rounds, seed):
+    # Without jitter every peer has the same features, so a run inherits its
+    # graph's symmetries (Maron et al. 2019): any two targets of a ring or a
+    # full graph, and node-k and node-(9-k) of a line.  Measured over seeds
+    # 42-46 the pairs agree to at most 1.9e-16 (full, rounds 4).
+    for a, b in SYMMETRIC_PAIRS[kind]:
+        gap = np.abs(still_run(kind, rounds, seed, a) - still_run(kind, rounds, seed, b)).max()
+        assert gap < 1e-15, (a, b, gap)
+
+
+@pytest.mark.parametrize("seed", range(42, 47))
+@pytest.mark.parametrize("rounds", [2, 4])
+def test_a_line_end_and_its_middle_trace_two_curves(rounds, seed):
+    # No automorphism maps node-0 to node-4.  Measured over seeds 42-46 their
+    # curves differ by at least 1.9e-4 at rounds 2 and 7.5e-6 at rounds 4,
+    # over ten orders of magnitude above the symmetric pairs.
+    end, middle = (still_run(TopologyKind.LINE, rounds, seed, k) for k in (0, 4))
+    assert np.abs(end - middle).max() > 1e-6
 
 
 def test_export_result_writes_the_full_artifact_set(tmp_path):

@@ -304,8 +304,9 @@ def table_round(graph, states, layer):
     density=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-@example(n=30, density=0.05, seed=1)  # sparse: the table branch
-@example(n=16, density=0.5, seed=2)  # dense, not complete: the adjacency branch
+@example(n=30, density=0.05, seed=1)  # sparse
+@example(n=16, density=0.5, seed=2)  # dense, not complete
+@example(n=16, density=1.0, seed=2)  # complete: the column sum less each row
 def test_both_neighbour_sums_match_the_padded_table(n, density, seed):
     rng = np.random.default_rng(seed)
     pairs = np.column_stack(np.triu_indices(n, k=1))
@@ -316,29 +317,22 @@ def test_both_neighbour_sums_match_the_padded_table(n, density, seed):
     layer = init_layer(3, 4, [seed])
     expected = table_round(graph, states, layer)
     got = embedding_round(graph, states, layer)
-    adjacency = graph.adjacency
-    assert (adjacency is not None) == (4 * int(graph.degree.max()) > n)
-    if adjacency is None:
-        assert got.tobytes() == expected.tobytes()
-    else:
+    if (graph.degree == n - 1).all():
+        # a different sum order: the largest error seen was 3.3e-16
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        assert adjacency.shape == (n, n)
-        assert np.array_equal(adjacency, adjacency.T)
-        assert not adjacency.diagonal().any()
-        assert set(np.unique(adjacency)) <= {0.0, 1.0}
-        assert np.array_equal(adjacency.sum(axis=1), graph.degree)
-    assert graph.adjacency is adjacency  # built once
+    else:
+        assert got.tobytes() == expected.tobytes()
 
 
-def test_receptive_field_is_bit_exact_on_the_dense_branch():
+def test_receptive_field_is_bit_exact_on_two_joined_cliques():
     # two 6-cliques, a0..a5 and b0..b5, joined a0 - p0 - p1 - p2 - p3 - b0:
-    # 16 nodes of degree at most 6, so 4 * 6 > 16 takes the adjacency branch
+    # 16 nodes of degree at most 6: not complete, so the padded-table sum
     names = [f"{side}{i}" for side in "ab" for i in range(6)] + [f"p{i}" for i in range(4)]
     links = [(c + i, c + j) for c in (0, 6) for i in range(6) for j in range(i + 1, 6)]
     path = [0, 12, 13, 14, 15, 6]
     links += list(zip(path, path[1:]))
     graph = graph_from_links(names, links)
-    assert graph.adjacency is not None and graph.adjacency.sum() < 16 * 15
+    assert graph.degree.max() == 6
     hops = {"a0": 1, "a2": 1, "a3": 1, "a4": 1, "a5": 1, "p0": 2, "p1": 3, "p2": 4, "p3": 5}
     hops.update({"b0": 6, **{f"b{i}": 7 for i in range(1, 6)}})  # from the target, a1
     base = np.random.default_rng(5).uniform(0.1, 1.0, (16, 3))

@@ -216,8 +216,6 @@ def test_full_400_topology_file_is_pinned():
     # the 13,524,147-byte `knowmap topology --kind full --nodes 400 --out FILE`
     graph = build_topology(TopologyKind.FULLY_CONNECTED, 400)
     text = graph.canonical_json() + "\n"
-    # the 400 x 400 adjacency is built only for an embedding round, never for the JSON
-    assert "adjacency" not in graph.__dict__
     assert len(text) == 13_524_147
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "39a96c48b750df72f5b1aed32974ea2156978aaa878bc12a12b52b14b7bf08e2"
@@ -263,13 +261,6 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-def test_adjacency_is_built_without_copies_of_the_table():
-    graph = build_topology(TopologyKind.FULLY_CONNECTED, 300)
-    adjacency, peak = traced_peak(lambda: graph.adjacency)
-    # the matrix plus its padding column, and no (n, max degree) temporaries
-    assert peak < 1.5 * adjacency.nbytes
-
-
 def topology_links(kind, n):
     """Each kind's own links, as (k, k') pairs of node numbers."""
     if kind is TopologyKind.FULLY_CONNECTED:
@@ -288,12 +279,6 @@ def check_closed_form(kind, n):
         built, linked = getattr(graph, field), getattr(reference, field)
         assert built.dtype == linked.dtype == np.intp
         assert np.array_equal(built, linked)
-    if n == 300:
-        # the dense matrix for full; ring and line stay on the table, with no matrix
-        dense = kind is TopologyKind.FULLY_CONNECTED
-        assert (graph.adjacency is not None) == (reference.adjacency is not None) == dense
-        if dense:
-            assert np.array_equal(graph.adjacency, reference.adjacency)
 
 
 @pytest.mark.parametrize("n", [*range(2, 65), 300, 1000])
