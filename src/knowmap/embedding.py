@@ -14,12 +14,12 @@ where every mixed value is below about -709.8, where exp overflows and the
 sigmoid is 0.
 
 The module also formats the embedding CSVs and knowledge_map.json: format_rows
-builds the "%.17g" or "%r" text of a block of rows over numpy arrays, byte for
-byte as Python's % operator writes it, instead of formatting one float at a
-time.  A chunk of rows is one uint8 block in which every column that holds no
-text is 0xFF, a byte UTF-8 never writes, so one bytes.translate compacts it.
-Values outside (1e-4, 1), where Knowledge Map values lie, and values it cannot
-prove go to Python.
+builds the "%.17g" text of a block of rows over numpy arrays, byte for byte as
+Python's % operator writes it, instead of formatting one float at a time.
+Seventeen significant digits read back as the exact double.  A chunk of rows
+is one uint8 block in which every column that holds no text is 0xFF, a byte
+UTF-8 never writes, so one bytes.translate compacts it.  Values outside
+(1e-4, 1), where Knowledge Map values lie, go to Python.
 """
 
 from __future__ import annotations
@@ -196,14 +196,13 @@ def format_rows(
     values: np.ndarray,
     separator: bytes,
     tail: Sequence[np.ndarray],
-    mode: str = "%.17g",
 ) -> Iterator[bytes]:
     """The bytes of each row of values, CSV_CHUNK_ROWS rows a chunk.
 
-    Row i is text i of every head block, separator.join(mode % v for v in
-    values[i]), then text i of every tail block; a one-row block gives every
-    row the same text.  mode is "%.17g" or "%r", and each value is written
-    byte for byte as Python's % operator writes it.
+    Row i is text i of every head block, separator.join("%.17g" % v for v
+    in values[i]), then text i of every tail block; a one-row block gives
+    every row the same text.  Each value is written byte for byte as
+    Python's % operator writes it.
     """
     values = np.asarray(values, dtype=np.float64)
     for i in range(0, len(values), CSV_CHUNK_ROWS):
@@ -211,17 +210,16 @@ def format_rows(
         head_rows, tail_rows = (
             [text if len(text) == 1 else text[rows] for text in texts] for texts in (head, tail)
         )
-        yield _rows(head_rows, values[rows], separator, tail_rows, mode)
+        yield _rows(head_rows, values[rows], separator, tail_rows)
 
 
 def _rows(
-    head: Sequence[np.ndarray], values: np.ndarray, separator: bytes,
-    tail: Sequence[np.ndarray], mode: str,
+    head: Sequence[np.ndarray], values: np.ndarray, separator: bytes, tail: Sequence[np.ndarray]
 ) -> bytes:
     """format_rows of one chunk: the texts side by side in one uint8 block, in which every
     column that holds no text, and each row's last separator, is 0xFF for translate to drop."""
     rows, columns = values.shape
-    slots = _format(values.ravel(), mode, separator)
+    slots = _format(values.ravel(), separator)
     lo = sum(text.shape[1] for text in head)
     hi = lo + columns * slots.shape[1]
     block = np.empty((rows, hi + sum(text.shape[1] for text in tail)), dtype=np.uint8)
@@ -235,22 +233,20 @@ def _rows(
     return block.tobytes().translate(None, b"\xff")
 
 
-def _format(flat: np.ndarray, mode: str, separator: bytes) -> np.ndarray:
-    """mode % v of every v as a slot: _TEXT columns of 0xFF-padded text, then the separator.
+def _format(flat: np.ndarray, separator: bytes) -> np.ndarray:
+    """The "%.17g" text of every v as a slot: _TEXT columns of 0xFF-padded text, then the separator.
 
-    A value in (1e-4, 1) is laid out from an exact 17-digit integer (_digits_17
-    for "%.17g", _shortest's for "%r"): the _PAD row of its sign and exponent,
-    the lead digit at column 7, the other 16 after it, trailing '0's as 0xFF.
-    Python formats every other value (zero, inf, NaN, 1e-4 or less, 1 or more,
-    unprovable), so each text is Python's; no text of a double is longer than _TEXT.
+    A value in (1e-4, 1) is laid out from its exact 17-digit integer
+    (_digits_17): the _PAD row of its sign and exponent, the lead digit at
+    column 7, the other 16 after it, trailing '0's as 0xFF.  Python formats
+    every other value (zero, inf, NaN, 1e-4 or less, 1 or more), so each
+    text is Python's; no text of a double is longer than _TEXT.
     """
     magnitude = np.abs(flat)  # NaN fails every comparison below, so it is slow
     fast = (magnitude > 1e-4) & (magnitude < 1.0)  # 10**-4 < double(1e-4): -4 <= k <= -1
     magnitude[~fast] = 0.5  # any value in range: Python writes these
-    k, digits, residual = _digits_17(magnitude)
-    if mode == "%r":
-        _shortest(magnitude, k, digits, residual, fast)
-    del residual, magnitude
+    k, digits = _digits_17(magnitude)
+    del magnitude
     lead, quads = _digit_chars(digits)
     del digits
     zero = np.flatnonzero(quads[:, 3] < 0x31000000)  # the last of the 17 digits is '0'
@@ -264,7 +260,7 @@ def _format(flat: np.ndarray, mode: str, separator: bytes) -> np.ndarray:
     slots[:, _TEXT:] = np.frombuffer(separator, np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        block = text_block([mode % v for v in flat[slow].tolist()])
+        block = text_block(["%.17g" % v for v in flat[slow].tolist()])
         slots[slow, :_TEXT] = 0xFF
         slots[slow, : block.shape[1]] = block
     return slots
@@ -281,54 +277,21 @@ def _pad_trailing_zeros(words: np.ndarray) -> np.ndarray:
     return words | (trailing >> 7) * 0xFF
 
 
-def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decimal exponent k, 17-digit integer N and residual of magnitudes in (1e-4, 1).
+def _digits_17(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal exponent k and 17-digit integer N of magnitudes in (1e-4, 1).
 
     k comes from three exact comparisons: for j = 1, 2, 3 the double nearest
     10**-j lies above 10**-j and the double below it lies below, so the
     exact product magnitude * 10**(16 - k) is in [10**16, 10**17).  N is
     that product rounded half to even.  Dekker's two-product gives it as
     p + err, both exact doubles; p >= 10**16 > 2**53 is an even integer, so
-    p + rint(err) is N, and the product is N plus the residual
-    err - rint(err).  No N rounds up to 10**17: in (1e-4, 1), the largest
+    p + rint(err) is N.  No N rounds up to 10**17: in (1e-4, 1), the largest
     double below a power of ten lies more than 8 units of the 17th digit
     below it.
     """
     k = -1 - (magnitude < 0.1) - (magnitude < 0.01) - (magnitude < 0.001)
     p, err = _times_power_of_ten(magnitude, 16 - k)
-    rounded = np.rint(err)
-    return k, p.astype(np.int64) + rounded.astype(np.int64), err - rounded
-
-
-def _shortest(
-    magnitude: np.ndarray, k: np.ndarray, digits: np.ndarray, residual: np.ndarray,
-    fast: np.ndarray,
-) -> None:
-    """Put repr's digits, scaled to 17, in digits, and clear fast where they are not proven.
-
-    For p = 16, 15, ..., N_p = magnitude * 10**(p - 1 - k) rounded half to
-    even is the 17-digit N rounded to p digits, the residual settling where
-    N's dropped digits are exactly half a unit.  p digits read back as
-    magnitude when N_p / 10**(p - 1 - k) == magnitude: one correctly rounded
-    division.  Once p fails, fewer digits fail too (the nearest shorter
-    decimal is no closer), so the last p that held is repr's; a power of
-    two, whose gap below is half the gap above, is no exception in this
-    range (tested on each).  An exact tie and an N_p above 2**53 are left
-    to Python.  A carry to 10**p never reads back.
-    """
-    live, seventeen = np.flatnonzero(fast), digits.copy()
-    for p in range(16, 0, -1):
-        scale = 10 ** (17 - p)
-        n, dropped = np.divmod(seventeen[live], scale)
-        side = (dropped - scale // 2) + residual[live]  # the sign of a sum of two doubles is exact
-        n += side > 0
-        unsure = (side == 0) | (n > 2**53)
-        fast[live[unsure]] = False
-        held = ~unsure & (n / _POW10[p - 1 - k[live]] == magnitude[live])
-        live = live[held]
-        if not live.size:
-            break
-        digits[live] = n[held] * scale
+    return k, p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
 def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +333,6 @@ _DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 _LOW_SEVENS = np.uint64(0x7F7F7F7F7F7F7F7F)
 _HIGH_BITS = np.uint64(0x8080808080808080)
-_POW10 = np.array([float(10**j) for j in range(23)])  # each exact in float64
+_POW10 = np.array([float(10**j) for j in range(21)])  # each exact in float64; 16 - k <= 20
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI

@@ -91,7 +91,11 @@ def run_sharing(
 
 
 def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> None:
-    """Write json.dump(indent=2, sort_keys=True) text, one entry a row; floats as repr."""
+    """Write json.dump(indent=2, sort_keys=True) text, one entry a row.
+
+    Each entry value is its "%.17g" text in embeddings_baseline.csv, and
+    final_delta is written as repr.
+    """
     states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
     if states.shape[1] == 0:  # json.dump writes an empty list as [], not a row of values
         raise DimensionMismatchError(f"knowledge map states have shape {states.shape}, no column")
@@ -106,7 +110,7 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
     with open(path, "wb") as handle:
         converged = b"true" if knowledge_map.converged else b"false"
         handle.write(b'{\n  "converged": %s,\n  "entries": ' % converged)
-        for chunk in format_rows(head, states[order], b",\n      ", [constant(b"\n    ]")], "%r"):
+        for chunk in format_rows(head, states[order], b",\n      ", [constant(b"\n    ]")]):
             handle.write(chunk)
         handle.write((b"\n  }" if ids else b"{}") + b',\n  "final_delta": %r,\n' % final_delta)
         handle.write(b'  "round": %d\n}\n' % knowledge_map.rounds_used)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import knowmap
@@ -21,6 +22,7 @@ from knowmap.drift import (
     PLOT_FILE,
     PROJECTION_FILE,
     DriftConfig,
+    run_drift,
 )
 from knowmap.graph import TopologyKind, build_topology
 
@@ -422,27 +424,29 @@ def test_plot_writes_utf8_in_an_ascii_locale(tmp_path):
 
 # Digests of `knowmap drift --nodes 12` plus the flags below, taken from the
 # per-row CSV writers before csv_rows: sha256 of the "name sha256" lines of
-# every file written, then of projection.csv alone.  Every default run has
-# negative and sub-1e-4 projection values; ring-deep has only sub-1e-4 ones.
+# every file written, then of projection.csv alone.  The first was re-based
+# when knowledge_map.json entries took the CSVs' "%.17g" text; json.load of
+# that file read back the same doubles.  Every default run has negative and
+# sub-1e-4 projection values; ring-deep has only sub-1e-4 ones.
 DRIFT_12_SHA256 = {
     "ring": (
-        "aeae5051c67ecfb088335c49ee629e599b40d52515558ad70026e55da953245d",
+        "481c1ffdc8a6e7e79f250d03612a0a8b4e4aba1e769f88bc8cb570c7fbb398b5",
         "a0fae16c0824484f1585ab41c900605212eeda1eb71588c45886df8150aecd9c",
     ),
     "full": (
-        "909dca3004bc47211be9881623c44c330fa83923c30d058f8f360e50e3a33b90",
+        "a9c3c5b31cc6a9a75ed076993695428426c17e9cb47b8dd48744c0e29f6439bc",
         "e66f5d0f791ec54372e465cc60fbc7323793eae741d9a1297b2531e289c31974",
     ),
     "line": (
-        "91db9e37721507be7c5bd33eb968672f988eac94f8d6c72373a88f2d85184094",
+        "cd2f29126b7e702d73ac476f9eea2286419e908a2af68e9c31dba661436d9cc0",
         "6ef9759d5d79538e8abf5ade676b561edb1a79c53c8196b00f78cefaec915491",
     ),
     "ring-deep": (
-        "108a5c25eccd85796970415d27f30ae26ceeeae445dad392e6b1c7586bd0ee6b",
+        "c384f53d58669a62c072a708a8b8f3e8aaaa7e11da1f1c3af6a4c7bb33f0a743",
         "9199806fe98e91d3146395c71348de673ce0193124c83995b8243e9336f6a356",
     ),
     "ring-dim3": (
-        "b2debac7e696b25a17bff039442dda610471deea6cfad7d7d9026f37bf0c4f0a",
+        "324e6d2e0f4cbab6a9c6a7b06d1da522c81a178c639f83a01d38f5dc3b506ef5",
         "e4694711fb766ef63154da744be33b154fcd15eb3c3002e442272a8210e5d74c",
     ),
 }
@@ -465,6 +469,24 @@ def test_drift_artifacts_are_pinned(tmp_path, case):
     assert (hashlib.sha256(lines.encode()).hexdigest(), digest(tmp_path / PROJECTION_FILE)) == (
         DRIFT_12_SHA256[case]
     ), lines
+
+
+@pytest.mark.parametrize("flags", [[], ["--rounds", "50", "--tolerance", "0"]])
+def test_each_knowledge_map_value_has_one_text(tmp_path, flags):
+    # a knowledge_map.json entry is the text of its embeddings_baseline.csv field
+    argv = ["drift", "--nodes", "12", *flags]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    kmap = run_drift(drift_config(build_parser().parse_args(argv))).baseline_map
+    text = (tmp_path / KNOWLEDGE_MAP_FILE).read_text(encoding="utf-8")
+    entries = json.loads(text, parse_float=str, parse_int=str)["entries"]
+    with open(tmp_path / "embeddings_baseline.csv", newline="") as handle:
+        fields = {row[0]: row[2:] for row in list(csv.reader(handle))[1:]}
+    assert entries == fields
+    data = json.loads(text)
+    assert text.count('"final_delta": %r,\n' % kmap.final_delta) == 1
+    rows = [data["entries"][node] for node in kmap.node_ids]
+    assert {type(v) for row in rows for v in row} == {float}
+    assert np.array(rows).tobytes() == kmap.states.tobytes()
 
 
 # sha256 of projection.csv of `knowmap drift --tolerance 0` runs deep enough

@@ -478,9 +478,9 @@ def test_a_graph_built_as_two_kinds_gives_one_result(kind, nodes):
 
 
 @functools.cache
-def still_run(kind, rounds, seed, k):
-    """Centroid distances and target rows of a fluctuation-free n=10 run targeting node-k."""
-    config = DriftConfig(topology=kind, nodes=10, seed=seed, rounds=rounds,
+def still_run(kind, nodes, rounds, seed, k):
+    """Centroid distances and target rows of a fluctuation-free run targeting node-k."""
+    config = DriftConfig(topology=kind, nodes=nodes, seed=seed, rounds=rounds,
                          fluctuation=0.0, target=node_name(k))
     result = run_drift(config)
     row = result.graph.node_ids.index(config.target)
@@ -489,32 +489,43 @@ def still_run(kind, rounds, seed, k):
 
 
 SYMMETRIC_PAIRS = {
-    TopologyKind.RING: [(0, k) for k in range(1, 10)],
-    TopologyKind.FULLY_CONNECTED: [(0, k) for k in range(1, 10)],
-    TopologyKind.LINE: [(k, 9 - k) for k in range(5)],
+    TopologyKind.RING: lambda n: [(0, k) for k in range(1, n)],
+    TopologyKind.FULLY_CONNECTED: lambda n: [(0, k) for k in range(1, n)],
+    TopologyKind.LINE: lambda n: [(k, n - 1 - k) for k in range(n // 2)],
 }
+# n = 10 at five seeds; the odd n = 11, where node-10 sorts between node-1
+# and node-2, at one
+SIZES_AND_SEEDS = pytest.mark.parametrize(
+    "nodes, seed", [*((10, s) for s in range(42, 47)), (11, 42)],
+    ids=[*map(str, range(42, 47)), "n11-42"],
+)
 
 
-@pytest.mark.parametrize("seed", range(42, 47))
+@SIZES_AND_SEEDS
 @pytest.mark.parametrize("rounds", [2, 4])
 @pytest.mark.parametrize("kind", list(SYMMETRIC_PAIRS))
-def test_targets_an_automorphism_swaps_trace_one_curve(kind, rounds, seed):
+def test_targets_an_automorphism_swaps_trace_one_curve(kind, rounds, nodes, seed):
     # Without jitter every peer has the same features, so a run inherits its
     # graph's symmetries (Maron et al. 2019): any two targets of a ring or a
-    # full graph, and node-k and node-(9-k) of a line.  Measured over seeds
-    # 42-46 the pairs agree to at most 1.9e-16 (full, rounds 4).
-    for a, b in SYMMETRIC_PAIRS[kind]:
-        gap = np.abs(still_run(kind, rounds, seed, a) - still_run(kind, rounds, seed, b)).max()
+    # full graph, and node-k and node-(n-1-k) of a line.  Measured over seeds
+    # 42-46 the pairs agree to at most 1.9e-16 at n = 10 (full, rounds 4)
+    # and 2.0e-16 at n = 11 (ring, rounds 2).
+    for a, b in SYMMETRIC_PAIRS[kind](nodes):
+        first, second = (still_run(kind, nodes, rounds, seed, k) for k in (a, b))
+        gap = np.abs(first - second).max()
         assert gap < 1e-15, (a, b, gap)
 
 
-@pytest.mark.parametrize("seed", range(42, 47))
+@SIZES_AND_SEEDS
 @pytest.mark.parametrize("rounds", [2, 4])
-def test_a_line_end_and_its_middle_trace_two_curves(rounds, seed):
-    # No automorphism maps node-0 to node-4.  Measured over seeds 42-46 their
-    # curves differ by at least 1.9e-4 at rounds 2 and 7.5e-6 at rounds 4,
-    # over ten orders of magnitude above the symmetric pairs.
-    end, middle = (still_run(TopologyKind.LINE, rounds, seed, k) for k in (0, 4))
+def test_a_line_end_and_its_middle_trace_two_curves(rounds, nodes, seed):
+    # No automorphism maps node-0 to the middle node, node-4 at n = 10 and
+    # node-5 at n = 11.  Measured over seeds 42-46 their curves differ by at
+    # least 1.9e-4 at rounds 2 and 7.5e-6 at rounds 4 at n = 10, and by
+    # 1.6e-4 and 1.1e-5 at n = 11, over ten orders of magnitude above the
+    # symmetric pairs.
+    middle_k = (nodes - 1) // 2
+    end, middle = (still_run(TopologyKind.LINE, nodes, rounds, seed, k) for k in (0, middle_k))
     assert np.abs(end - middle).max() > 1e-6
 
 

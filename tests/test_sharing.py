@@ -1,6 +1,7 @@
 """Sharing-loop convergence and Knowledge Map serialization tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,14 +135,21 @@ def test_knowledge_map_dict_shape(tmp_path):
     assert data["final_delta"] == 1e-8
     assert list(data["entries"]) == sorted(ids)
     assert data["entries"]["b"] == [1.0, 0.0]
-    # byte for byte what json.dump writes of the same dict
+    # Entry values are written "%.17g", as in the CSVs, so the synthetic 1.0,
+    # 0.0, 1e16 and -0.0 here read back as the JSON integers 1, 0,
+    # 10000000000000000 and 0.  No drift run writes them: at dimension >= 2
+    # every entry is in (0, 1).
+    assert data["entries"]["é"] == [10**16, 0] and type(data["entries"]["é"][0]) is int
+    # byte for byte what json.dump writes of the same dict, with each entry
+    # value's "%.17g" text dumped as a string and then unquoted
     reference = {
         "round": 3,
         "converged": True,
         "final_delta": 1e-8,
-        "entries": dict(zip(ids, states.tolist())),
+        "entries": {i: ["%.17g" % v for v in row] for i, row in zip(ids, states.tolist())},
     }
-    assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    dumped = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert text == re.sub(r'^( {6})"(.*)"', r"\1\2", dumped, flags=re.M)
 
 
 def test_knowledge_map_json_rejects_states_with_no_column(tmp_path):

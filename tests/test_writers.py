@@ -1,8 +1,9 @@
 """The artifact writers against references that format one value at a time, at benchmark size.
 
 knowledge_map.json is formatted over arrays (embedding.format_rows: rows
-padded with 0xFF, compacted by one bytes.translate); the projection CSV and
-the SVG are one Python % over the whole text.  The n=12
+padded with 0xFF, compacted by one bytes.translate), each entry value the
+"%.17g" text of the embedding CSVs and final_delta its repr; the projection
+CSV and the SVG are one Python % over the whole text.  The n=12
 digests in test_cli.py pin a small run.  These runs are the benchmark's own
 configs, so every value the benchmark writes meets a writer that formats it
 one value at a time.
@@ -33,10 +34,10 @@ def bench_result(request):
 
 
 def per_value_knowledge_map_json(path, knowledge_map):
-    """write_knowledge_map_json as it was before format_rows: one "%r" a float."""
+    """write_knowledge_map_json one value at a time: "%.17g" an entry value, final_delta "%r"."""
     states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
     ids, rows = knowledge_map.node_ids, states.tolist()
-    row = "    %s: [\n      " + ",\n      ".join(["%r"] * states.shape[1]) + "\n    ]"
+    row = "    %s: [\n      " + ",\n      ".join(["%.17g"] * states.shape[1]) + "\n    ]"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{\n  "converged": %s,\n  "entries": ' % json.dumps(knowledge_map.converged))
         for k, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
