@@ -148,8 +148,6 @@ def _read_projection(path: str) -> tuple[list[str], list[int], list[list[float]]
                 points.append([float(row[2]), float(row[3])])
             except ValueError as exc:
                 raise MalformedCsvError(f"bad projection row {row}: {exc}") from exc
-            if not np.isfinite(points[-1]).all():
-                raise MalformedCsvError(f"non-finite coordinate in projection row {row}")
     if not points:
         raise MalformedCsvError(f"no data rows in {path}")
     return labels, workloads, points

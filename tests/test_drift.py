@@ -529,6 +529,50 @@ def test_a_line_end_and_its_middle_trace_two_curves(rounds, nodes, seed):
     assert np.abs(end - middle).max() > 1e-6
 
 
+def mirrored_rows(kind, nodes, rounds, seed, target, pairs):
+    """For each pair (a, b): node-a's and node-b's rows of every map of one run, stacked."""
+    config = DriftConfig(topology=kind, nodes=nodes, seed=seed, rounds=rounds,
+                         fluctuation=0.0, target=node_name(target))
+    result = run_drift(config)
+    maps = np.stack([result.baseline_map.states, *(m.states for m in result.step_maps)])
+    rows = {k: maps[:, result.graph.node_ids.index(node_name(k))] for pair in pairs for k in pair}
+    return [(rows[a], rows[b]) for a, b in pairs]
+
+
+@pytest.mark.parametrize("seed", range(42, 47))
+@pytest.mark.parametrize("rounds", [2, 4])
+@pytest.mark.parametrize("kind, nodes, target", [
+    (TopologyKind.RING, 10, 0), (TopologyKind.RING, 11, 0), (TopologyKind.RING, 11, 7),
+    (TopologyKind.LINE, 11, 5),
+])
+def test_rows_mirrored_through_the_target_are_equal(kind, nodes, target, rounds, seed):
+    # The reflection that fixes the target is an automorphism of a ring
+    # (node-(t+j) and node-(t-j) mod n) and of an odd line through its middle
+    # (node-k and node-(2t-k)), so at fluctuation 0 mirrored nodes hold the
+    # same row in every map of one run.  Measured over seeds 42-46 at rounds
+    # 2 and 4, on ring n = 10 (target node-0), ring n = 11 (node-0 and
+    # node-7) and line n = 11 (node-5): every difference is exactly 0.0.
+    if kind is TopologyKind.RING:
+        pairs = [((target + j) % nodes, (target - j) % nodes) for j in range(1, nodes // 2 + 1)]
+    else:
+        pairs = [(k, 2 * target - k) for k in range(target)]
+    mirrored = mirrored_rows(kind, nodes, rounds, seed, target, pairs)
+    for (a, b), (a_rows, b_rows) in zip(pairs, mirrored):
+        assert np.array_equal(a_rows, b_rows), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(42, 47))
+def test_rows_mirrored_off_an_even_lines_middle_differ(seed):
+    # On line n = 10 no automorphism fixes node-4, and at rounds 4 node-9's
+    # end is in reach of the rows mirrored about node-4 (node-k and
+    # node-(8-k)).  Measured over seeds 42-46 the largest mirrored-row
+    # difference is 7.75e-6 to 2.87e-5; at rounds 2 it is 0, since the end
+    # is not yet in reach.
+    pairs = [(k, 8 - k) for k in range(4)]
+    gaps = [np.abs(a - b).max() for a, b in mirrored_rows(TopologyKind.LINE, 10, 4, seed, 4, pairs)]
+    assert max(gaps) > 1e-6
+
+
 def test_export_result_writes_the_full_artifact_set(tmp_path):
     result = run_drift(DriftConfig(nodes=5))
     written = export_result(result, tmp_path / "out")

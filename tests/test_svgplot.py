@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 
 import knowmap
 from knowmap.drift import DriftConfig, run_drift
-from knowmap.errors import DimensionMismatchError, EmptyInputError
+from knowmap.errors import DimensionMismatchError, EmptyInputError, NonFiniteValueError
 from knowmap.graph import TopologyKind
-from knowmap.svgplot import escape, render_scatter, workload_color, write_drift_svg
+from knowmap.svgplot import (
+    escape, render_scatter, workload_color, write_drift_svg, write_scatter_svg,
+)
 
 
 def test_color_ramp_endpoints():
@@ -99,6 +101,51 @@ def test_render_validation():
         render_scatter(["a"], [50, 60], [[0.0, 0.0]])
     with pytest.raises(EmptyInputError):
         render_scatter([], [], [])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_non_finite_point_is_rejected(axis, value):
+    labels, workloads, points = sample()
+    points[2][axis] = value
+    with pytest.raises(NonFiniteValueError):
+        render_scatter(labels, workloads, points)
+
+
+def test_an_extent_that_overflows_a_double_is_rejected():
+    # finite points, but max - min is past 1.8e308: the centres would be NaN
+    with pytest.raises(NonFiniteValueError):
+        render_scatter(["baseline:a", "baseline:b"], [50, 50], [[-1e308, 0.0], [1e308, 0.0]])
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -3.5, 2.0**52 + 2, 2.0**60, -1e300])
+def test_a_one_value_span_sits_at_the_centre_at_any_magnitude(value):
+    # from 2**52 on, value ± 0.5 can round back to value, a span of 0
+    svg = render_scatter(["target:t"], [50], [[value, value]])
+    assert '<circle cx="335.00" cy="235.00" r="5"' in svg
+
+
+@pytest.mark.parametrize("args", [
+    ([], [], []),
+    (["target:t", "baseline:a"], [50, 50], [[0.0, 0.0], [float("nan"), 1.0]]),
+], ids=["empty", "nan"])
+def test_a_rejected_plot_creates_no_file(tmp_path, args):
+    path = tmp_path / "plot.svg"
+    with pytest.raises((EmptyInputError, NonFiniteValueError)):
+        write_scatter_svg(path, *args)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ([], [], []),
+    (["target:t", "baseline:a"], [50, 50], [[0.0, 0.0], [1.0, float("inf")]]),
+], ids=["empty", "inf"])
+def test_a_rejected_plot_leaves_an_existing_file_as_it_was(tmp_path, args):
+    path = tmp_path / "plot.svg"
+    path.write_bytes(b"<svg>earlier plot</svg>\n")
+    with pytest.raises((EmptyInputError, NonFiniteValueError)):
+        write_scatter_svg(path, *args)
+    assert path.read_bytes() == b"<svg>earlier plot</svg>\n"
 
 
 def test_drift_svg_counts_match_run(tmp_path):

@@ -3,18 +3,24 @@
 knowledge_map.json is formatted over arrays (embedding.format_rows: rows
 padded with 0xFF, compacted by one bytes.translate), each entry value the
 "%.17g" text of the embedding CSVs and final_delta its repr; the projection
-CSV and the SVG are one Python % over the whole text.  The n=12
-digests in test_cli.py pin a small run.  These runs are the benchmark's own
-configs, so every value the benchmark writes meets a writer that formats it
-one value at a time.
+CSV is one Python % over the whole text, and the SVG one frame template
+filled by one % over its rows.  The n=12 digests in test_cli.py pin a small
+run.  These runs are the benchmark's own configs, so every value the
+benchmark writes meets a writer that formats it one value at a time.  The
+SVG also meets its reference on arbitrary rows and titles (hypothesis):
+labels and titles holding %, the XML specials and non-ASCII text, and any
+finite coordinates, degenerate spans included.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 from test_embedding import per_row_projection_csv
 
 from knowmap.drift import DriftConfig, run_drift, write_projection_csv
+from knowmap.errors import NonFiniteValueError
 from knowmap.graph import TopologyKind
 from knowmap.sharing import write_knowledge_map_json
 from knowmap.svgplot import escape, render_scatter, workload_color, write_drift_svg
@@ -49,10 +55,12 @@ def per_value_knowledge_map_json(path, knowledge_map):
 def per_value_scatter(labels, workloads, points, title=""):
     """render_scatter with its coordinates formatted one point at a time."""
     xs, ys = [float(p[0]) for p in points], [float(p[1]) for p in points]
-    x_pad = (max(xs) - min(xs)) * 0.05 or 0.5
-    y_pad = (max(ys) - min(ys)) * 0.05 or 0.5
+    x_pad = (max(xs) - min(xs)) * 0.05 or max(0.5, abs(min(xs)) / 2)
+    y_pad = (max(ys) - min(ys)) * 0.05 or max(0.5, abs(min(ys)) / 2)
     x_lo, x_hi = min(xs) - x_pad, max(xs) + x_pad
     y_lo, y_hi = min(ys) - y_pad, max(ys) + y_pad
+    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
+        raise NonFiniteValueError("the plot's extent overflows a double")
     sx = lambda x: 60 + (x - x_lo) / (x_hi - x_lo) * 550
     sy = lambda y: 40 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * 390
     parts = [
@@ -120,6 +128,37 @@ def test_svg_bytes_equal_the_per_value_renderer(bench_result, tmp_path):
         bench_result.projection.tolist(), title,
     )
     assert (tmp_path / "new.svg").read_bytes() == old.encode("utf-8")
+
+
+# Text that meets every escape: %, the XML specials, quotes and non-ASCII, among any character.
+TEXT = st.text(st.one_of(st.sampled_from("%&<>\"' dé→"), st.characters()), max_size=12)
+# Any finite double, with a few repeated values so that degenerate spans come up,
+# 2**52 + 2 among them: a span of one point there rounds a pad of 0.5 away.
+COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 2.0**52 + 2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ROW = st.tuples(
+    st.one_of(TEXT, TEXT.map("target:".__add__)), st.integers(0, 100), COORDINATE, COORDINATE
+)
+
+
+def rendered(render, *args):
+    """render(*args), or NonFiniteValueError if it rejects them."""
+    try:
+        return render(*args)
+    except NonFiniteValueError:
+        return NonFiniteValueError
+
+
+@given(st.lists(ROW, min_size=1, max_size=20), TEXT)
+@example([("target:%d%%", 0, 1.0, 1.0), ("baseline:<&>", 100, 1.0, 1.0)], "0% <&> é")
+@example([("target:a", 50, 2.0**52 + 2, -1.0), ("target:b", 7, 2.0**52 + 2, 2.0)], "")
+@example([("baseline:a", 50, -1e308, 0.0), ("baseline:b", 50, 1e308, 0.0)], "overflow")
+def test_render_scatter_equals_the_per_value_renderer_on_any_rows(rows, title):
+    labels, workloads, xs, ys = zip(*rows)
+    args = (labels, workloads, list(zip(xs, ys)), title)
+    assert rendered(render_scatter, *args) == rendered(per_value_scatter, *args)
 
 
 def test_projection_bytes_equal_the_per_value_writer(bench_result, tmp_path):
