@@ -10,7 +10,7 @@ class InvalidConfigError(KnowmapError, ValueError):
 
 
 class NonFiniteValueError(KnowmapError):
-    """A knowledge map to be written, or a plot's points or extent, is NaN or infinite."""
+    """A knowledge map to be written, or a plot's points, workloads or extent, is not finite."""
 
 
 class EmptyInputError(KnowmapError):

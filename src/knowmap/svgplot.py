@@ -5,9 +5,9 @@ Pure string assembly, no drawing library.  What does not depend on the data
 one slot for the title line and one for the body.  The body is one Python %
 over a circle template per row kind, whose "%.2f" fields format each centre,
 after the target's polyline, one % over its centres.  A plot is rendered
-before its file is opened, so a rejected one (empty, not finite, or wider
-than a double) writes nothing.  Legend swatches are rectangles so circles
-count exactly the rows.
+before its file is opened, so a rejected one (empty, not n x 2, not finite,
+or wider than a double) writes nothing.  Legend swatches are rectangles so
+circles count exactly the rows.
 """
 
 from __future__ import annotations
@@ -111,10 +111,16 @@ def render_scatter(
         raise DimensionMismatchError("labels, workloads, and points must align")
     if len(points) == 0:
         raise EmptyInputError("nothing to plot")
-    xs, ys = np.asarray(points, dtype=float)[:, :2].T
+    xy = np.asarray(points, dtype=float)
+    if xy.shape != (len(points), 2):
+        raise DimensionMismatchError(f"points must be {len(points)} x 2, got shape {xy.shape}")
+    try:
+        workloads = list(map(int, workloads))  # int raises ValueError at NaN, OverflowError at inf
+    except (ValueError, OverflowError):
+        raise NonFiniteValueError("every workload must be a finite number") from None
     # Python's order of operations, over arrays: the same doubles as one point at a time.
     spans = []
-    for values in (xs, ys):
+    for values in xy.T:
         low, high = float(values.min()), float(values.max())
         # a degenerate span still needs an extent, one that low ± pad does not round away
         pad = (high - low) * 0.05 or max(0.5, abs(low) / 2)
@@ -122,14 +128,14 @@ def render_scatter(
     x_lo, x_hi, y_lo, y_hi = spans
     if not np.isfinite([x_hi - x_lo, y_hi - y_lo]).all():
         raise NonFiniteValueError("a point is not finite, or the plot's extent overflows a double")
-    cxs = (MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * PLOT_W).tolist()
-    cys = (MARGIN_TOP + (1.0 - (ys - y_lo) / (y_hi - y_lo)) * PLOT_H).tolist()
+    cxs = (MARGIN_LEFT + (xy[:, 0] - x_lo) / (x_hi - x_lo) * PLOT_W).tolist()
+    cys = (MARGIN_TOP + (1.0 - (xy[:, 1] - y_lo) / (y_hi - y_lo)) * PLOT_H).tolist()
 
     target = [label.startswith(TARGET_PREFIX) for label in labels]
-    fills = [workload_color(int(w)) if t else BASELINE_FILL for w, t in zip(workloads, target)]
-    rows = chain.from_iterable(zip(cxs, cys, fills, map(escape, labels), map(int, workloads)))
+    fills = [workload_color(w) if t else BASELINE_FILL for w, t in zip(workloads, target)]
+    rows = chain.from_iterable(zip(cxs, cys, fills, map(escape, labels), workloads))
     body = "".join([_TARGET_ROW if t else _BASELINE_ROW for t in target]) % tuple(rows)
-    trajectory = [xy for xy, t in zip(zip(cxs, cys), target) if t]
+    trajectory = [centre for centre, t in zip(zip(cxs, cys), target) if t]
     if len(trajectory) >= 2:
         line = " ".join(["%.2f,%.2f"] * len(trajectory)) % tuple(chain.from_iterable(trajectory))
         body = _POLYLINE % line + body

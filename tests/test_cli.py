@@ -98,56 +98,48 @@ def test_drift_runs_are_byte_identical(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
-def test_drift_rejects_too_small_ring(tmp_path, capsys):
-    code = main(["drift", "--topology", "ring", "--nodes", "2", "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+# Every refused config exits 2 with one line on stderr, "error: " and then the message, writes
+# nothing to stdout and creates no --out.  Each row is the argv, less --out, and the message.
+REFUSED_ARGV = [
+    ("drift --topology ring --nodes 2", "nodes must be an integer >= 3, got 2"),
+    ("drift --baseline 55", "workload must be an integer multiple of 10 in [0, 100], got 55"),
+    ("embed --workload 33", "workload must be an integer multiple of 10 in [0, 100], got 33"),
+    ("drift --fluctuation 0.5", "fluctuation magnitude must be in [0, 0.1), got 0.5"),
+    ("drift --tolerance nan", "tolerance must be finite, got nan"),
+    ("drift --tolerance inf", "tolerance must be finite, got inf"),
+    ("drift --seed -1", "seed must be a non-negative integer, got -1"),
+    ("embed --seed -1", "seed must be a non-negative integer, got -1"),
+    # refused before any settle: drift projects onto two axes
+    ("drift --dim 1", "dimension must be an integer >= 2, got 1"),
+    ("drift --nodes 5 --target node-99", "target must be a node id node-0 .. node-4, got 'node-99'"),
+    ("topology --kind ring --nodes 1", "ring topology size must be an integer >= 3, got 1"),
+    # one past the largest full graph MAX_EDGES admits, so nothing is built; a ring or line
+    # that large is past drift.MAX_RUN_BYTES first
+    *((f"{command} full --nodes 3163", "full topology on 3163 nodes exceeds 10000000 edges")
+      for command in ("topology --kind", "embed --topology", "drift --topology")),
+    # a 1000-round embed of 1000 nodes at dim 1024 would keep 8 GB of rounds
+    ("embed --nodes 1000 --dim 1024 --rounds 1000",
+     "nodes=1000 x (8 x dimension=1024 x (max(rounds=1000, 12) + SCRATCH_STATES=9) + "
+     "NODE_BYTES=1043) = 8266771000 bytes > MAX_RUN_BYTES = 4294967296"),
+]
 
 
-def test_drift_rejects_bad_baseline(tmp_path, capsys):
-    code = main(["drift", "--baseline", "55", "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-
-
-def test_drift_rejects_bad_fluctuation(tmp_path):
-    assert main(["drift", "--fluctuation", "0.5", "--out", str(tmp_path)]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_drift_rejects_non_finite_tolerance(tmp_path, capsys, value):
-    code = main(["drift", "--tolerance", value, "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "tolerance must be finite" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["drift", "embed"])
-def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "argv, message", REFUSED_ARGV,
+    ids=[argv.replace(" --", "-").replace(" ", "=") for argv, _ in REFUSED_ARGV],
+)
+def test_a_refused_config_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    code = main([command, "--seed", "-1", "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
-def test_drift_rejects_dimension_1_before_any_settle(tmp_path, capsys):
-    out = tmp_path / "drift"
-    assert main(["drift", "--dim", "1", "--out", str(out)]) == EXIT_CONFIG
-    assert "dimension must be an integer >= 2" in capsys.readouterr().err
-    assert not out.exists()
+def test_embed_accepts_dimension_1(tmp_path):
     # embed has no projection, so one column is fine there
     path = tmp_path / "emb.csv"
     assert main(["embed", "--dim", "1", "--out", str(path)]) == EXIT_OK
     assert path.read_text().splitlines()[0] == "node_id,round,e0"
-
-
-def test_drift_rejects_unknown_target(tmp_path, capsys):
-    code = main(["drift", "--nodes", "5", "--target", "node-99", "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: target must be a node id node-0 .. node-4, got 'node-99'\n"
-    )
 
 
 def test_help_exits_zero_and_lists_flags(capsys):
@@ -217,35 +209,6 @@ def test_topology_writes_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_topology_rejects_invalid_size(capsys):
-    assert main(["topology", "--kind", "ring", "--nodes", "1"]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["topology", "--kind", "full", "--nodes", "3163"],
-        ["embed", "--topology", "full", "--nodes", "3163"],
-        ["drift", "--topology", "full", "--nodes", "3163"],
-    ],
-)
-def test_more_than_max_edges_is_a_config_error(argv, tmp_path, capsys):
-    # each size is one past the largest MAX_EDGES admits, so nothing is built; a ring
-    # or line that large is past drift.MAX_RUN_BYTES first
-    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "edges" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_more_state_values_than_max_is_a_config_error(tmp_path, capsys):
-    # a 1000-round embed of 1000 nodes at dim 1024 would keep 8 GB of rounds
-    argv = ["embed", "--nodes", "1000", "--dim", "1024", "--rounds", "1000"]
-    assert main([*argv, "--out", str(tmp_path / "emb.csv")]) == EXIT_CONFIG
-    assert "MAX_RUN_BYTES" in capsys.readouterr().err
-    assert not (tmp_path / "emb.csv").exists()
-
-
 def test_embed_writes_per_round_rows(tmp_path):
     path = tmp_path / "emb.csv"
     code = main(
@@ -269,11 +232,6 @@ def test_embed_rows_follow_the_graph_node_order(tmp_path):
     for round_index in range(1, rounds + 1):
         assert [row[0] for row in rows if row[1] == str(round_index)] == node_ids
     assert len(rows) == 12 * rounds
-
-
-def test_embed_rejects_bad_workload(tmp_path):
-    path = tmp_path / "emb.csv"
-    assert main(["embed", "--workload", "33", "--out", str(path)]) == EXIT_CONFIG
 
 
 # sha256 of `knowmap embed --topology T --nodes 9 --dim 5 --seed 3 --rounds R`:

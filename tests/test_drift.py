@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,11 +31,10 @@ from knowmap.drift import (
     write_metrics_json,
     write_projection_csv,
 )
-from knowmap.errors import DimensionMismatchError, InvalidConfigError, KnowmapError
+from knowmap.errors import DimensionMismatchError, InvalidConfigError
 from knowmap.embedding import init_layers
 from knowmap.features import node_keys
 from knowmap.graph import TopologyKind, build_topology, node_name
-from knowmap.sharing import check_tolerance
 
 
 def test_default_sweep_covers_the_decade_grid():
@@ -83,107 +83,56 @@ def test_metrics_input_validation():
         trajectory_metrics(U_SHAPE[:-1], 50)
 
 
-def test_config_validates_dimension_rounds_and_seed():
-    for bad in (0, -1, 2.0, True, "2"):
-        with pytest.raises(InvalidConfigError, match="dimension must be an integer >= 1"):
-            DriftConfig(dimension=bad)
-        with pytest.raises(InvalidConfigError, match="rounds must be an integer >= 1"):
-            DriftConfig(rounds=bad)
-    assert DriftConfig(dimension=np.int64(3), rounds=np.int32(2)).rounds == 2
-    with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer, got -1"):
-        DriftConfig(seed=-1)
+# Every refused value raises InvalidConfigError, still the ValueError older callers catch, at
+# construction, before any layer, graph or round history is allocated: a value of the wrong type
+# (a bool is not read as 0 or 1), NaN or infinite, or out of range.  Each row holds the whole
+# message; the refused value ends it, after "got", in all but the topology's.
+DIMENSION = f"dimension must be an integer >= 1 and <= {MAX_DIMENSION}, got {{!r}}"
+ROUNDS = f"rounds must be an integer >= 1 and <= {MAX_ROUNDS}, got {{!r}}"
+TARGET = "target must be a node id node-0 .. node-4, got {!r}"
 
 
-def test_config_validation():
-    with pytest.raises(InvalidConfigError, match="integer multiple of 10 in .*, got 55"):
-        DriftConfig(baseline_workload=55)
-    with pytest.raises(InvalidConfigError, match=r"magnitude must be in \[0, 0.1\), got 0.1"):
-        DriftConfig(fluctuation=0.1)
-    for bad in (True, 50.0):
-        with pytest.raises(InvalidConfigError, match="integer multiple of 10"):
-            DriftConfig(baseline_workload=bad)
-    with pytest.raises(InvalidConfigError, match="rounds must be an integer >= 1"):
-        DriftConfig(rounds=0)
-    with pytest.raises(InvalidConfigError, match="dimension must be an integer >= 1"):
-        DriftConfig(dimension=0)
-    with pytest.raises(InvalidConfigError, match="tolerance must be >= 0"):
-        DriftConfig(sharing_tolerance=-1e-9)
+def refused(message, id=None, **kwargs):
+    """A row: DriftConfig(**kwargs), and message with the last value of kwargs filled in."""
+    *_, value = kwargs.values()
+    row_id = id or "-".join(f"{field}={given!r}" for field, given in kwargs.items())
+    return pytest.param(kwargs, message.format(value), id=row_id)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: DriftConfig(baseline_workload=55),
-        lambda: check_tolerance(-1.0),
-    ],
-    ids=["baseline-55", "negative-tolerance"],
-)
-def test_config_range_errors_are_typed(build):
-    # a KnowmapError, and still the ValueError older callers catch
-    with pytest.raises(InvalidConfigError) as caught:
-        build()
-    assert isinstance(caught.value, KnowmapError) and isinstance(caught.value, ValueError)
+REFUSED_CONFIGS = [
+    *(refused(DIMENSION, dimension=v) for v in (0, -1, 2.0, True, "2", MAX_DIMENSION + 1, 10**5)),
+    *(refused(ROUNDS, rounds=v)
+      for v in (0, -1, 2.0, True, "2", np.float64(2.0), MAX_ROUNDS + 1, 10**9)),
+    # the default ring needs three nodes
+    *(refused("nodes must be an integer >= 3, got {!r}", nodes=v) for v in (5.0, True, "5", 2)),
+    *(refused("seed must be a non-negative integer, got {!r}", seed=v) for v in (-1, 2.5, "7")),
+    *(refused("workload must be an integer multiple of 10 in [0, 100], got {!r}",
+              baseline_workload=v) for v in (55, True, 50.0)),
+    *(refused("fluctuation magnitude must be in [0, 0.1), got {!r}", fluctuation=v)
+      for v in (0.1, "0.02", None, True, False)),
+    refused("tolerance must be >= 0, got {!r}", sharing_tolerance=-1e-9),
+    *(refused("tolerance must be finite, got {!r}", sharing_tolerance=v)
+      for v in (math.nan, math.inf)),
+    *(refused("tolerance must be a real number, got {!r}", sharing_tolerance=v)
+      for v in ("0.02", None, True, False)),
+    *(refused("topology {!r} is not a TopologyKind (ring, full or line)", nodes=5, topology=v)
+      for v in ("ring", None, 0)),
+    # "node-\u0663" holds a decimal digit, but not the ASCII one node_name writes
+    *(refused(TARGET, nodes=5, target=v)
+      for v in (None, 3, "", "x", "node-05", "node-5", "node--1", "node-\u0663")),
+    # too many digits for int(): rejected before it is parsed
+    refused(TARGET, nodes=5, target="node-" + "9" * 5000, id="nodes=5-target=node-9x5000"),
+    # rejected with no graph and no list of names built
+    refused("target must be a node id node-0 .. node-3999999, got {!r}",
+            nodes=4_000_000, target="node-05"),
+]
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("sharing_tolerance", math.nan),
-        ("sharing_tolerance", math.inf),
-    ],
-)
-def test_config_rejects_non_finite_values(field, value):
-    # the same type as a negative tolerance: one config error, whatever the fault
-    with pytest.raises(InvalidConfigError, match="tolerance must be finite"):
-        DriftConfig(**{field: value})
-
-
-@pytest.mark.parametrize("value", ["0.02", None, True, False])
-@pytest.mark.parametrize("field", ["sharing_tolerance", "fluctuation"])
-def test_config_rejects_a_value_that_is_not_a_real_number(field, value):
-    # a typed error, not a bare TypeError; a bool is not read as 0 or 1
-    with pytest.raises(InvalidConfigError, match=repr(value)):
-        DriftConfig(**{field: value})
-
-
-@pytest.mark.parametrize("seed", [-1, 2.5, "7"])
-def test_config_rejects_a_bad_seed(seed):
-    with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
-        DriftConfig(seed=seed)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("nodes", 5.0),
-        ("nodes", True),
-        pytest.param("nodes", "5", id="nodes-str"),
-        ("nodes", 2),  # a ring needs three nodes
-        ("dimension", 2.0),
-        ("dimension", True),
-        ("rounds", 2.0),
-        ("rounds", True),
-        pytest.param("rounds", np.float64(2.0), id="rounds-np.float64"),
-    ],
-)
-def test_config_rejects_a_bad_size(field, value):
-    with pytest.raises(InvalidConfigError, match=f"{field} must be an integer >= "):
-        DriftConfig(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("dimension", MAX_DIMENSION + 1),
-        ("dimension", 10**5),
-        ("rounds", MAX_ROUNDS + 1),
-        ("rounds", 10**9),
-    ],
-)
-def test_config_rejects_an_absurd_size(field, value):
-    # rejected at construction, before any layer or round history is allocated
-    with pytest.raises(InvalidConfigError, match=f"{field} must be an integer >= 1 and <= "):
-        DriftConfig(**{field: value})
+@pytest.mark.parametrize("kwargs, message", REFUSED_CONFIGS)
+def test_config_rejects_a_bad_value(kwargs, message):
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$") as raised:
+        DriftConfig(**kwargs)
+    assert isinstance(raised.value, ValueError)
 
 
 # the most nodes a run of dimension 8 and 16 rounds may have
@@ -193,6 +142,7 @@ LARGEST_D8_R16 = MAX_RUN_BYTES // (8 * 8 * (16 + SCRATCH_STATES) + NODE_BYTES)
 def test_config_accepts_the_largest_sizes():
     config = DriftConfig(dimension=MAX_DIMENSION, rounds=MAX_ROUNDS)
     assert (config.dimension, config.rounds) == (1024, 1000)
+    assert DriftConfig(dimension=np.int64(3), rounds=np.int32(2)).rounds == 2
     assert MAX_RUN_BYTES == 2**32
     DriftConfig(nodes=LARGEST_D8_R16, dimension=8, rounds=16)
 
@@ -215,13 +165,6 @@ def test_config_rejects_more_state_values_than_max(sizes):
         assert f"{field}={value}" in str(raised.value)
 
 
-@pytest.mark.parametrize("topology", ["ring", None, 0])
-def test_config_rejects_a_topology_that_is_not_a_kind(topology):
-    with pytest.raises(InvalidConfigError, match=r"\(ring, full or line\)") as raised:
-        DriftConfig(topology=topology, nodes=5)
-    assert repr(topology) in str(raised.value)
-
-
 def test_numpy_integer_sizes_export_like_python_ints(tmp_path):
     plain = run_drift(DriftConfig(nodes=5, dimension=4, rounds=3))
     numpy = run_drift(DriftConfig(nodes=np.int64(5), dimension=np.int32(4), rounds=np.int64(3)))
@@ -238,30 +181,6 @@ def test_run_rejects_bad_graph_or_target():
         run_drift(DriftConfig(topology=TopologyKind.RING, nodes=2))
     with pytest.raises(InvalidConfigError, match="target must be a node id node-0 .. node-4"):
         run_drift(DriftConfig(nodes=5, target="node-9"))
-
-
-@pytest.mark.parametrize(
-    "nodes, target",
-    [
-        (5, None),
-        (5, 3),
-        (5, ""),
-        (5, "x"),
-        (5, "node-05"),
-        (5, "node-5"),
-        (5, "node--1"),
-        (5, "node-\u0663"),  # a decimal digit, but not the ASCII one node_name writes
-        # too many digits for int(): rejected before it is parsed
-        pytest.param(5, "node-" + "9" * 5000, id="5-node-9x5000"),
-        (4_000_000, "node-05"),  # rejected with no graph and no list of names built
-    ],
-)
-def test_config_rejects_a_target_that_names_no_node(nodes, target):
-    last = f"node-{nodes - 1}"
-    with pytest.raises(InvalidConfigError, match=f"node id node-0 .. {last}, got ") as raised:
-        DriftConfig(nodes=nodes, target=target)
-    assert isinstance(raised.value, ValueError)
-    assert str(raised.value).endswith(repr(target))
 
 
 @pytest.mark.parametrize(
@@ -571,6 +490,37 @@ def test_rows_mirrored_off_an_even_lines_middle_differ(seed):
     pairs = [(k, 8 - k) for k in range(4)]
     gaps = [np.abs(a - b).max() for a, b in mirrored_rows(TopologyKind.LINE, 10, 4, seed, 4, pairs)]
     assert max(gaps) > 1e-6
+
+
+@functools.cache
+def consensus_fixed_point(seed):
+    """x* of the hidden layer at consensus: x <- normalize(sigmoid((W_s + W_n) x)), 500 times."""
+    _, hidden = init_layers(8, seed)
+    weights = hidden.self_weights + hidden.neighbor_weights
+    x = np.full(8, 8**-0.5)
+    for _ in range(500):
+        x = 1.0 / (1.0 + np.exp(-(weights @ x)))
+        x = x / np.linalg.norm(x)
+    return x
+
+
+@pytest.mark.parametrize("seed", range(42, 47))
+@pytest.mark.parametrize("nodes", [10, 100])
+@pytest.mark.parametrize("kind", list(TopologyKind), ids=lambda kind: kind.value)
+def test_a_deep_settle_lands_on_the_consensus_fixed_point(kind, nodes, seed):
+    # Mean-aggregating rounds over-smooth: deep enough, every row of a map is one
+    # vector (Oono & Suzuki 2020, arXiv:1905.10947).  A map whose rows are all x
+    # maps to rows normalize(sigmoid((W_s + W_n) x)), so a settle run to depth
+    # lands on that map's fixed point x*, whatever the features, the workload or
+    # the graph.  Measured over ring, full and line at n = 10 and 100 and seeds
+    # 42-46, at 60 rounds and tolerance 0, every row of all 12 maps is within
+    # 2.8e-16 of x* (full n = 100, seed 44), line n = 100 included, though its
+    # diameter of 99 is past 60 rounds: the layer's contraction pulls each row.
+    config = DriftConfig(topology=kind, nodes=nodes, seed=seed, rounds=60, sharing_tolerance=0.0)
+    result = run_drift(config)
+    x_star = consensus_fixed_point(seed)
+    for kmap in (result.baseline_map, *result.step_maps):
+        assert np.abs(kmap.states - x_star).max() <= 1e-15
 
 
 def test_export_result_writes_the_full_artifact_set(tmp_path):

@@ -101,13 +101,20 @@ def test_render_validation():
         render_scatter(["a"], [50, 60], [[0.0, 0.0]])
     with pytest.raises(EmptyInputError):
         render_scatter([], [], [])
+    # a point is an (x, y) pair: one column, three, or a flat row of two is refused
+    for points in ([[0.0], [1.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0]):
+        with pytest.raises(DimensionMismatchError, match="points must be 2 x 2"):
+            render_scatter(["baseline:a", "target:t"], [50, 50], points)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("axis", [0, 1, "workload"])
 def test_a_non_finite_point_is_rejected(axis, value):
     labels, workloads, points = sample()
-    points[2][axis] = value
+    if axis == "workload":
+        workloads[2] = value
+    else:
+        points[2][axis] = value
     with pytest.raises(NonFiniteValueError):
         render_scatter(labels, workloads, points)
 
