@@ -31,10 +31,11 @@ from knowmap.drift import (
     write_metrics_json,
     write_projection_csv,
 )
-from knowmap.errors import DimensionMismatchError, InvalidConfigError
+from knowmap.errors import DimensionMismatchError, InvalidConfigError, KnowmapError
 from knowmap.embedding import init_layers
 from knowmap.features import node_keys
 from knowmap.graph import TopologyKind, build_topology, node_name
+from knowmap.sharing import check_tolerance
 
 
 def test_default_sweep_covers_the_decade_grid():
@@ -133,6 +134,37 @@ def test_config_rejects_a_bad_value(kwargs, message):
     with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$") as raised:
         DriftConfig(**kwargs)
     assert isinstance(raised.value, ValueError)
+
+
+def test_config_validation():
+    with pytest.raises(InvalidConfigError, match="integer multiple of 10 in .*, got 55"):
+        DriftConfig(baseline_workload=55)
+    with pytest.raises(InvalidConfigError, match=r"magnitude must be in \[0, 0.1\), got 0.1"):
+        DriftConfig(fluctuation=0.1)
+    for bad in (True, 50.0):
+        with pytest.raises(InvalidConfigError, match="integer multiple of 10"):
+            DriftConfig(baseline_workload=bad)
+    with pytest.raises(InvalidConfigError, match="rounds must be an integer >= 1"):
+        DriftConfig(rounds=0)
+    with pytest.raises(InvalidConfigError, match="dimension must be an integer >= 1"):
+        DriftConfig(dimension=0)
+    with pytest.raises(InvalidConfigError, match="tolerance must be >= 0"):
+        DriftConfig(sharing_tolerance=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DriftConfig(baseline_workload=55),
+        lambda: check_tolerance(-1.0),
+    ],
+    ids=["baseline-55", "negative-tolerance"],
+)
+def test_config_range_errors_are_typed(build):
+    # a KnowmapError, and still the ValueError older callers catch
+    with pytest.raises(InvalidConfigError) as caught:
+        build()
+    assert isinstance(caught.value, KnowmapError) and isinstance(caught.value, ValueError)
 
 
 # the most nodes a run of dimension 8 and 16 rounds may have
