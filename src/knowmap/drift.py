@@ -24,7 +24,7 @@ from .embedding import (
     id_column,
     init_layers,
 )
-from .errors import DegenerateInputError, DimensionMismatchError, InvalidConfigError
+from .errors import DegenerateInputError, InvalidConfigError
 from .features import (
     apply_fluctuation,
     check_magnitude,
@@ -145,8 +145,6 @@ def trajectory_metrics(distances: Sequence[float], baseline: int) -> TrajectoryM
     baseline is tested separately: falling toward it on the left, rising
     away from it on the right, with slack for float noise.
     """
-    if len(distances) != len(SWEEP):
-        raise DimensionMismatchError(f"{len(distances)} distances vs {len(SWEEP)} sweep steps")
     best = int(np.argmin(distances))
     left = [d for w, d in zip(SWEEP, distances) if w <= baseline]
     right = [d for w, d in zip(SWEEP, distances) if w >= baseline]
@@ -170,11 +168,10 @@ def settle(
     """Settle one feature assignment: the input round, then the sharing rounds.
 
     layers is the (input, hidden) pair of init_layers.  At most rounds rounds
-    run; they, rounds_used and the round numbers in errors count the input
-    round as round 1.  tolerance is run_sharing's.  Given a history list,
-    the states after every round, input round first, are appended to it.
+    run; they and rounds_used count the input round as round 1.  tolerance is
+    run_sharing's.  Given a history list, the states after every round, input
+    round first, are appended to it.
     """
-    check_count("rounds", rounds, 1)
     input_layer, hidden_layer = layers
     first = embedding_round(graph, features, input_layer)
     if history is not None:

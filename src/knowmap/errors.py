@@ -21,10 +21,6 @@ class DimensionMismatchError(KnowmapError):
     """Vectors or matrices with incompatible dimensions were combined."""
 
 
-class ZeroVectorError(KnowmapError):
-    """Normalization hit an exactly-zero vector (degenerate layer output)."""
-
-
 class DegenerateInputError(KnowmapError):
     """All input rows are identical; no principal directions exist."""
 

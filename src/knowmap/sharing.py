@@ -17,9 +17,9 @@ from .embedding import (
     text_block,
     write_embedding_csv,
 )
-from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError, NonFiniteValueError
+from .errors import DimensionMismatchError, InvalidConfigError, NonFiniteValueError
 from .features import is_real
-from .graph import KnowledgeGraph, check_count
+from .graph import KnowledgeGraph
 
 
 def check_tolerance(value: float) -> float:
@@ -46,8 +46,6 @@ class KnowledgeMap:
 
 def states_delta(before: np.ndarray, after: np.ndarray) -> float:
     """Largest per-node movement (row norm) between two state matrices."""
-    if before.size == 0:
-        raise EmptyInputError("cannot compare empty embedding snapshots")
     return float(np.max(np.linalg.norm(after - before, axis=1)))
 
 
@@ -66,16 +64,14 @@ def run_sharing(
     all nodes update from the same pre-round snapshot, so the result is
     independent of node iteration order.  states holds one row per node in
     graph.node_ids order.  Given a history list, each round's states are
-    appended to it.  Rounds are numbered from first_round, in errors and in
-    rounds_used, the number of the last round run (first_round - 1 if none).
+    appended to it.  Rounds are numbered from first_round, so rounds_used is
+    the number of the last round run (first_round - 1 if none).
     """
-    check_count("max_rounds", max_rounds, 0)
-    check_tolerance(tolerance)
     current = np.asarray(states, dtype=float)
     rounds_used, converged, final_delta = first_round - 1, False, 0.0
     while rounds_used < first_round - 1 + max_rounds and not converged:
         rounds_used += 1
-        updated = embedding_round(graph, current, layer, rounds_used)
+        updated = embedding_round(graph, current, layer)
         final_delta = states_delta(current, updated)
         current = updated
         if history is not None:

@@ -111,12 +111,15 @@ def render_scatter(
         raise DimensionMismatchError("labels, workloads, and points must align")
     if len(points) == 0:
         raise EmptyInputError("nothing to plot")
-    xy = np.asarray(points, dtype=float)
+    try:
+        xy = np.asarray(points, dtype=float)
+    except (ValueError, TypeError) as error:  # ragged rows, or a value that is not a number
+        raise DimensionMismatchError(f"points must be {len(points)} x 2 numbers: {error}") from None
     if xy.shape != (len(points), 2):
         raise DimensionMismatchError(f"points must be {len(points)} x 2, got shape {xy.shape}")
     try:
         workloads = list(map(int, workloads))  # int raises ValueError at NaN, OverflowError at inf
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, TypeError):  # and TypeError at None
         raise NonFiniteValueError("every workload must be a finite number") from None
     # Python's order of operations, over arrays: the same doubles as one point at a time.
     spans = []

@@ -31,7 +31,7 @@ from knowmap.drift import (
     write_metrics_json,
     write_projection_csv,
 )
-from knowmap.errors import DimensionMismatchError, InvalidConfigError, KnowmapError
+from knowmap.errors import InvalidConfigError, KnowmapError
 from knowmap.embedding import init_layers
 from knowmap.features import node_keys
 from knowmap.graph import TopologyKind, build_topology, node_name
@@ -79,11 +79,6 @@ def test_metrics_tolerates_float_noise():
     assert m.left_monotone
 
 
-def test_metrics_input_validation():
-    with pytest.raises(DimensionMismatchError):
-        trajectory_metrics(U_SHAPE[:-1], 50)
-
-
 # Every refused value raises InvalidConfigError, still the ValueError older callers catch, at
 # construction, before any layer, graph or round history is allocated: a value of the wrong type
 # (a bool is not read as 0 or 1), NaN or infinite, or out of range.  Each row holds the whole
@@ -106,6 +101,10 @@ REFUSED_CONFIGS = [
       for v in (0, -1, 2.0, True, "2", np.float64(2.0), MAX_ROUNDS + 1, 10**9)),
     # the default ring needs three nodes
     *(refused("nodes must be an integer >= 3, got {!r}", nodes=v) for v in (5.0, True, "5", 2)),
+    # a full or line graph needs two: no run compares an empty pair of state matrices
+    *(refused("nodes must be an integer >= 2, got {!r}", f"topology={kind.value}-nodes=1",
+              topology=kind, nodes=1)
+      for kind in (TopologyKind.FULLY_CONNECTED, TopologyKind.LINE)),
     *(refused("seed must be a non-negative integer, got {!r}", seed=v) for v in (-1, 2.5, "7")),
     *(refused("workload must be an integer multiple of 10 in [0, 100], got {!r}",
               baseline_workload=v) for v in (55, True, 50.0)),
@@ -590,13 +589,6 @@ def test_numpy_integer_workloads_export_like_python_ints(tmp_path):
     for left, right in zip(first, second, strict=True):
         assert left.name == right.name
         assert left.read_bytes() == right.read_bytes(), left.name
-
-
-def test_settle_rejects_fewer_than_one_round():
-    # the input round is round 1, so a settle of 0 rounds is a size error, named as such
-    graph = build_topology(TopologyKind.LINE, 3)
-    with pytest.raises(InvalidConfigError, match="rounds must be an integer >= 1, got 0"):
-        settle(graph, np.ones((3, 3)), init_layers(4, 9), 0, 0.0)
 
 
 @pytest.mark.parametrize("tolerance", [0.0, 1e-3])

@@ -6,14 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from knowmap.drift import settle
-from knowmap.embedding import Layer, embedding_round, id_column, init_layers
+from knowmap.embedding import embedding_round, id_column, init_layers
 from knowmap.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidConfigError,
     NonFiniteValueError,
-    ZeroVectorError,
 )
 from knowmap.features import feature_vector, features_at
 from knowmap.graph import TopologyKind, build_topology, node_name
@@ -42,24 +40,18 @@ def ring_setup(n=5, dim=4, seed=3):
 
 def test_sharing_config_validation():
     graph, states, layer = ring_setup()
-    for bad in (-1, 2.5, 2.0, True, None):
-        with pytest.raises(InvalidConfigError, match="max_rounds must be an integer >= 0"):
-            run_sharing(graph, states, layer, bad, 0.0)
     assert run_sharing(graph, states, layer, np.int64(0), 0.0).rounds_used == 0
-    for check in (check_tolerance, lambda value: run_sharing(graph, states, layer, 5, value)):
-        with pytest.raises(InvalidConfigError, match="tolerance must be >= 0"):
-            check(-1e-9)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(InvalidConfigError, match="tolerance must be finite"):
-                check(bad)
+    with pytest.raises(InvalidConfigError, match="tolerance must be >= 0"):
+        check_tolerance(-1e-9)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="tolerance must be finite"):
+            check_tolerance(bad)
 
 
 def test_states_delta_is_max_movement():
     before = np.array([[0.0, 0.0], [1.0, 0.0]])
     after = np.array([[3.0, 4.0], [1.0, 1.0]])
     assert states_delta(before, after) == 5.0
-    with pytest.raises(EmptyInputError):
-        states_delta(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_zero_tolerance_runs_exactly_max_rounds():
@@ -207,33 +199,6 @@ def test_information_spreads_one_hop_per_round():
             v for v, p, t in zip(graph.node_ids, plain, touched) if p.tobytes() != t.tobytes()
         )
         assert differing == [node_name(i) for i in range(rounds + 1)]
-
-
-def test_zero_row_error_names_the_sharing_round():
-    # round 1 mixes [1, -1] to [0, 0], whose sigmoid 0.5 normalizes to
-    # [0.707, 0.707]; round 2 mixes that to -1414 in both coordinates, where
-    # the sigmoid underflows to exactly 0
-    graph = build_topology(TopologyKind.LINE, 2)
-    layer = Layer(-1e3 * np.ones((2, 2)), np.zeros((2, 2)))
-    states = np.array([[1.0, -1.0], [1.0, -1.0]])
-    zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
-    with zero_row, np.errstate(over="ignore"):
-        run_sharing(graph, states, layer, 5, 0.0)
-
-
-def test_settle_names_its_first_sharing_round_round_2():
-    # the input round (identity, no neighbour term) keeps both rows
-    # positive; the sharing layer above then zeroes them in the settle's
-    # round 2, the round rounds_used and knowmap embed would call 2
-    graph = build_topology(TopologyKind.LINE, 2)
-    input_layer = Layer(np.eye(2), np.zeros((2, 2)))
-    layer = Layer(-1e3 * np.ones((2, 2)), np.zeros((2, 2)))
-    features = np.array([[1.0, -1.0], [1.0, -1.0]])
-    history = []
-    zero_row = pytest.raises(ZeroVectorError, match=r"round 2 left node .node-0. all zero")
-    with zero_row, np.errstate(over="ignore"):
-        settle(graph, features, (input_layer, layer), 6, 0.0, history)
-    assert len(history) == 1 and (history[0] > 0).all()
 
 
 def test_write_knowledge_map_csv_layout(tmp_path):

@@ -101,10 +101,14 @@ def test_render_validation():
         render_scatter(["a"], [50, 60], [[0.0, 0.0]])
     with pytest.raises(EmptyInputError):
         render_scatter([], [], [])
-    # a point is an (x, y) pair: one column, three, or a flat row of two is refused
-    for points in ([[0.0], [1.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0]):
+    # a point is an (x, y) pair of numbers: one column, three, a flat row of two, a ragged
+    # row or a string coordinate is refused
+    for points in ([[0.0], [1.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0],
+                   [[0.0, 0.0], [1.0]], [["a", 0.0], [1.0, 1.0]]):
         with pytest.raises(DimensionMismatchError, match="points must be 2 x 2"):
             render_scatter(["baseline:a", "target:t"], [50, 50], points)
+    with pytest.raises(NonFiniteValueError, match="workload"):
+        render_scatter(["baseline:a", "target:t"], [50, None], [[0.0, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -135,10 +139,11 @@ def test_a_one_value_span_sits_at_the_centre_at_any_magnitude(value):
 @pytest.mark.parametrize("args", [
     ([], [], []),
     (["target:t", "baseline:a"], [50, 50], [[0.0, 0.0], [float("nan"), 1.0]]),
-], ids=["empty", "nan"])
+    (["target:t", "baseline:a"], [50, 50], [[0.0, 0.0], [1.0]]),
+], ids=["empty", "nan", "ragged"])
 def test_a_rejected_plot_creates_no_file(tmp_path, args):
     path = tmp_path / "plot.svg"
-    with pytest.raises((EmptyInputError, NonFiniteValueError)):
+    with pytest.raises((EmptyInputError, NonFiniteValueError, DimensionMismatchError)):
         write_scatter_svg(path, *args)
     assert not path.exists()
 
@@ -146,7 +151,8 @@ def test_a_rejected_plot_creates_no_file(tmp_path, args):
 @pytest.mark.parametrize("args", [
     ([], [], []),
     (["target:t", "baseline:a"], [50, 50], [[0.0, 0.0], [1.0, float("inf")]]),
-], ids=["empty", "inf"])
+    (["target:t", "baseline:a"], [None, 50], [[0.0, 0.0], [1.0, 1.0]]),
+], ids=["empty", "inf", "none-workload"])
 def test_a_rejected_plot_leaves_an_existing_file_as_it_was(tmp_path, args):
     path = tmp_path / "plot.svg"
     path.write_bytes(b"<svg>earlier plot</svg>\n")
