@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError
+from .features import uniform_stream
 from .graph import KnowledgeGraph
 
 FEATURE_DIMENSION = 3
@@ -55,8 +56,8 @@ def init_layer(in_dim: int, out_dim: int, seed_material: Sequence[int]) -> Layer
     (hidden), so no sigmoid row is zero.
     """
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    rng = np.random.default_rng(list(seed_material))
-    self_w, neighbor_w = rng.uniform(-bound, bound, size=(2, out_dim, in_dim))
+    draws = uniform_stream(seed_material, -bound, bound, 2 * out_dim * in_dim)
+    self_w, neighbor_w = draws.reshape(2, out_dim, in_dim)
     return Layer(self_weights=self_w, neighbor_weights=neighbor_w)
 
 

@@ -163,6 +163,7 @@ def fluctuation_draws(
 
 # numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
 _MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -246,3 +247,35 @@ def _pcg64_outputs(state: list[np.ndarray], count: int) -> np.ndarray:
         value, rotation = hi ^ lo, hi >> 58
         outputs.append((value >> rotation) | (value << ((64 - rotation) & 63)))
     return np.stack(outputs, axis=1)
+
+
+def uniform_stream(material: Sequence[int], low: float, high: float, count: int) -> np.ndarray:
+    """default_rng(list(material)).uniform(low, high, size=count), bit for bit, from one stream.
+
+    PCG64 steps a 128-bit int through its first L states, and each further row of L draws
+    is the row above jumped L steps at once over uint64 halves.  L = min(count, 12 sqrt(count))
+    minimises L int steps plus count / L row steps, as a row step costs about 144 int steps.
+    numpy.random is never loaded.
+    """
+    entropy = [np.uint32(word) for value in material for word in _words(value)]
+    entropy += [np.uint32(0)] * (_POOL_SIZE - len(entropy))  # a missing word hashes as 0
+    with np.errstate(over="ignore"):  # _seed_state's uint32 arithmetic, on scalars, wraps too
+        init_hi, init_lo, seq_hi, seq_lo = map(int, _seed_state(entropy))
+    init, seq = init_hi << 64 | init_lo, seq_hi << 64 | seq_lo
+    inc, mult = (seq << 1 | 1) & _MASK128, _PCG_MULT_HI << 64 | _PCG_MULT_LO
+    start = state = ((inc + init) * mult + inc) & _MASK128  # from 0: step, add init, step
+    lanes = max(1, int(min(count, (144 * count) ** 0.5)))  # an int, as pow takes; 1 at count 0
+    states = [state := (state * mult + inc) & _MASK128 for _ in range(lanes)]
+    a_hi, a_lo = divmod(jump := pow(mult, lanes, 1 << 128), 1 << 64)
+    c_hi, c_lo = divmod((state - jump * start) & _MASK128, 1 << 64)
+    halves = np.frombuffer(b"".join([s.to_bytes(16, "little") for s in states]), "<u8")
+    lo, hi = halves.reshape(lanes, 2).T
+    draws = np.empty(-(-count // lanes) * lanes)
+    for at in range(0, count, lanes):
+        if at:
+            lo, hi = lo * a_lo + c_lo, _mulhi64(lo, a_lo) + lo * a_hi + hi * a_lo + c_hi
+            hi += lo < c_lo  # the carry out of adding c_lo
+        value, rotation = hi ^ lo, hi >> 58  # XSL-RR, as in _pcg64_outputs
+        raw = (value >> rotation) | (value << ((64 - rotation) & 63))
+        draws[at : at + lanes] = low + (high - low) * ((raw >> 11) * 2.0**-53)
+    return draws[:count]

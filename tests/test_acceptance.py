@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from test_graph import graph_from_links
 
 from knowmap.cli import main

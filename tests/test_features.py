@@ -18,6 +18,7 @@ from knowmap.features import (
     fluctuation_draws,
     node_keys,
     set_workload,
+    uniform_stream,
 )
 
 workloads = st.integers(min_value=0, max_value=10).map(lambda i: i * 10)
@@ -255,3 +256,20 @@ def test_per_column_steps_match_numpy_generator(columns):
     got = fluctuation_draws(seed, magnitude, keys, steps)
     expected = [numpy_draws(seed, magnitude, int(k), int(s)) for k, s in zip(keys, steps)]
     assert got.tobytes() == np.array(expected).tobytes()
+
+
+# 144 is the most one row of Python int steps draws (lanes = int(min(count, sqrt(144 * count)))),
+# so 143 and 144 fill one row and 145 spills one draw into a second; 1296 is three full
+# rows of 432 lanes, and 2 * 256 * 256 a d = 256 hidden layer: 31 rows, the last one short.
+# Count 0 is an empty draw, as numpy's.
+STREAM_COUNTS = [0, 1, 2, 143, 144, 145, 1296, 2 * 256 * 256]
+
+
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3])
+def test_uniform_stream_matches_numpy_generator(seed, stream, count):
+    for low, high in ((-np.sqrt(6.0 / 11.0), np.sqrt(6.0 / 11.0)), (0.25, 3.5)):
+        got = uniform_stream([seed, stream], low, high, count)
+        expected = np.random.default_rng([seed, stream]).uniform(low, high, size=count)
+        assert got.tobytes() == expected.tobytes()

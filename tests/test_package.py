@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import knowmap
 
 
@@ -33,5 +35,25 @@ def test_import_loads_the_library_and_not_the_cli_or_plot():
         f"knowmap.{name}"
         for name in ("drift", "embedding", "errors", "features", "graph", "pca", "sharing")
     ]
-    # numpy.random costs about 2 MB and 10 ms; only the first init_layers call may load it
+    # numpy.random costs about 2.5 MB and 6-9 ms, and no run needs it (next test)
+    assert "numpy.random" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv", [["drift", "--nodes", "12"], ["embed", "--nodes", "9"]], ids=["drift", "embed"]
+)
+def test_a_run_never_loads_numpy_random(tmp_path, argv):
+    # init_layer draws the weights with features.uniform_stream, not numpy's Generator
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    out = str(tmp_path / ("out.csv" if argv[0] == "embed" else "out"))
+    code = (
+        "import json, sys; from knowmap.cli import main; "
+        "main(sys.argv[1:]); print(json.dumps(sorted(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", out],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, text=True,
+    )
+    modules = json.loads(run.stdout.splitlines()[-1])
+    assert "knowmap.embedding" in modules
     assert "numpy.random" not in modules
