@@ -17,7 +17,7 @@ import numpy as np
 
 from .drift import DriftConfig, draw_steps, export_result, run_drift, settle_step
 from .embedding import id_column, write_embedding_csv
-from .errors import KnowmapError, MalformedCsvError
+from .errors import InvalidDataError, KnowmapError
 from .features import node_keys
 from .graph import TopologyKind, build_topology
 from .svgplot import write_scatter_svg
@@ -138,18 +138,18 @@ def _read_projection(path: str) -> tuple[list[str], list[int], list[list[float]]
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != expected:
-            raise MalformedCsvError(f"expected header {expected}, got {header}")
+            raise InvalidDataError(f"expected header {expected}, got {header}")
         for row in reader:
             if len(row) != 4:
-                raise MalformedCsvError(f"expected 4 columns, got {row}")
+                raise InvalidDataError(f"expected 4 columns, got {row}")
             try:
                 labels.append(row[0])
                 workloads.append(int(row[1]))
                 points.append([float(row[2]), float(row[3])])
             except ValueError as exc:
-                raise MalformedCsvError(f"bad projection row {row}: {exc}") from exc
+                raise InvalidDataError(f"bad projection row {row}: {exc}") from exc
     if not points:
-        raise MalformedCsvError(f"no data rows in {path}")
+        raise InvalidDataError(f"no data rows in {path}")
     return labels, workloads, points
 
 

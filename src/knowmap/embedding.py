@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError
+from .errors import InvalidDataError
 from .features import uniform_stream
 from .graph import KnowledgeGraph
 
@@ -75,7 +75,7 @@ def init_layers(dimension: int, seed: int) -> tuple[Layer, Layer]:
 def aggregate(states: np.ndarray) -> np.ndarray:
     """Mean of an (m x d) set of states, such as a node's peers.  Order must not matter."""
     if len(states) == 0:
-        raise EmptyInputError("cannot aggregate an empty set of states")
+        raise InvalidDataError("cannot aggregate an empty set of states")
     return np.mean(states, axis=0)
 
 
@@ -87,7 +87,7 @@ def embedding_round(graph: KnowledgeGraph, states: np.ndarray, layer: Layer) -> 
     """
     n = graph.node_count
     if states.shape != (n, layer.in_dim):
-        raise DimensionMismatchError(
+        raise InvalidDataError(
             f"expected states of shape ({n}, {layer.in_dim}), got {states.shape}"
         )
     if graph.index.shape[1] == n - 1 and (graph.degree == n - 1).all():
@@ -122,12 +122,12 @@ def write_embedding_csv(
     (n, k), checked before the file is opened.
     """
     if len(snapshots) == 0 or len(ids) == 0:
-        raise EmptyInputError("no embeddings to write")
+        raise InvalidDataError("no embeddings to write")
     first = np.shape(snapshots[0])
     expected = (len(ids), first[1] if len(first) == 2 and first[1] > 0 else -1)
     for round_index, snapshot in enumerate(snapshots, start=first_round):
         if np.shape(snapshot) != expected:
-            raise DimensionMismatchError(
+            raise InvalidDataError(
                 f"round {round_index} states have shape {np.shape(snapshot)}, "
                 f"expected ({len(ids)}, k), one k >= 1 for every round"
             )

@@ -12,12 +12,7 @@ from math import copysign, sqrt
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidConfigError,
-    TooFewRowsError,
-)
+from .errors import DegenerateInputError, InvalidConfigError, InvalidDataError
 
 JACOBI_OFF_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -47,7 +42,7 @@ def jacobi_eigh(symmetric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.array(symmetric, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+        raise InvalidDataError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
     d = a.shape[0]
@@ -86,10 +81,10 @@ def fit_pca(data: np.ndarray, components: int = DEFAULT_COMPONENTS) -> PCAModel:
     """
     rows = np.asarray(data, dtype=float)
     if rows.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D array, got shape {rows.shape}")
+        raise InvalidDataError(f"expected a 2-D array, got shape {rows.shape}")
     m, d = rows.shape
     if m < 3:
-        raise TooFewRowsError(f"need at least 3 rows to fit, got {m}")
+        raise InvalidDataError(f"need at least 3 rows to fit, got {m}")
     if not 1 <= components <= d:
         raise InvalidConfigError(f"components must be in [1, {d}], got {components}")
     if np.all(rows == rows[0]):
@@ -116,10 +111,5 @@ def fit_pca(data: np.ndarray, components: int = DEFAULT_COMPONENTS) -> PCAModel:
 
 
 def transform(model: PCAModel, data: np.ndarray) -> np.ndarray:
-    """Project rows onto the fitted axes."""
-    rows = np.asarray(data, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != model.mean.shape[0]:
-        raise DimensionMismatchError(
-            f"expected rows of width {model.mean.shape[0]}, got shape {rows.shape}"
-        )
-    return (rows - model.mean) @ model.components.T
+    """Project rows of the fitted width onto the fitted axes."""
+    return (np.asarray(data, dtype=float) - model.mean) @ model.components.T

@@ -17,7 +17,7 @@ from .embedding import (
     text_block,
     write_embedding_csv,
 )
-from .errors import DimensionMismatchError, InvalidConfigError, NonFiniteValueError
+from .errors import InvalidConfigError, InvalidDataError
 from .features import is_real
 from .graph import KnowledgeGraph
 
@@ -94,9 +94,9 @@ def write_knowledge_map_json(path: str | Path, knowledge_map: KnowledgeMap) -> N
     """
     states, final_delta = knowledge_map.states, float(knowledge_map.final_delta)
     if states.shape[1] == 0:  # json.dump writes an empty list as [], not a row of values
-        raise DimensionMismatchError(f"knowledge map states have shape {states.shape}, no column")
+        raise InvalidDataError(f"knowledge map states have shape {states.shape}, no column")
     if not (np.isfinite(states).all() and math.isfinite(final_delta)):  # repr would write nan
-        raise NonFiniteValueError("knowledge map states and final delta must be finite")
+        raise InvalidDataError("knowledge map states and final delta must be finite")
     ids = knowledge_map.node_ids
     order = sorted(range(len(ids)), key=ids.__getitem__)
     opening = np.full((len(ids), 1), ord(","), dtype=np.uint8)

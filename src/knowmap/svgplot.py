@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, NonFiniteValueError
+from .errors import InvalidDataError
 
 if TYPE_CHECKING:
     from .drift import DriftResult
@@ -108,19 +108,19 @@ def render_scatter(
     form a gray background cloud.  Every row becomes exactly one circle.
     """
     if not (len(labels) == len(workloads) == len(points)):
-        raise DimensionMismatchError("labels, workloads, and points must align")
+        raise InvalidDataError("labels, workloads, and points must align")
     if len(points) == 0:
-        raise EmptyInputError("nothing to plot")
+        raise InvalidDataError("nothing to plot")
     try:
         xy = np.asarray(points, dtype=float)
     except (ValueError, TypeError) as error:  # ragged rows, or a value that is not a number
-        raise DimensionMismatchError(f"points must be {len(points)} x 2 numbers: {error}") from None
+        raise InvalidDataError(f"points must be {len(points)} x 2 numbers: {error}") from None
     if xy.shape != (len(points), 2):
-        raise DimensionMismatchError(f"points must be {len(points)} x 2, got shape {xy.shape}")
+        raise InvalidDataError(f"points must be {len(points)} x 2, got shape {xy.shape}")
     try:
         workloads = list(map(int, workloads))  # int raises ValueError at NaN, OverflowError at inf
     except (ValueError, OverflowError, TypeError):  # and TypeError at None
-        raise NonFiniteValueError("every workload must be a finite number") from None
+        raise InvalidDataError("every workload must be a finite number") from None
     # Python's order of operations, over arrays: the same doubles as one point at a time.
     spans = []
     for values in xy.T:
@@ -130,7 +130,7 @@ def render_scatter(
         spans += [low - pad, high + pad]
     x_lo, x_hi, y_lo, y_hi = spans
     if not np.isfinite([x_hi - x_lo, y_hi - y_lo]).all():
-        raise NonFiniteValueError("a point is not finite, or the plot's extent overflows a double")
+        raise InvalidDataError("a point is not finite, or the plot's extent overflows a double")
     cxs = (MARGIN_LEFT + (xy[:, 0] - x_lo) / (x_hi - x_lo) * PLOT_W).tolist()
     cys = (MARGIN_TOP + (1.0 - (xy[:, 1] - y_lo) / (y_hi - y_lo)) * PLOT_H).tolist()
 

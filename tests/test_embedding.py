@@ -26,7 +26,7 @@ from knowmap.embedding import (
     text_block,
     write_embedding_csv,
 )
-from knowmap.errors import DimensionMismatchError, EmptyInputError
+from knowmap.errors import InvalidDataError
 from knowmap.graph import KnowledgeGraph, TopologyKind, build_topology, node_name
 
 vectors3 = st.lists(
@@ -117,7 +117,7 @@ def test_aggregate_singleton_is_identity():
 
 
 def test_aggregate_rejects_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidDataError, match="cannot aggregate an empty set of states"):
         aggregate(np.zeros((0, 2)))
 
 
@@ -188,9 +188,9 @@ def test_layer_forward_zero_weights_sigmoid():
 
 
 def test_layer_forward_checks_input_dim():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidDataError):
         embedding_round(isolated(), np.ones((1, 3)), identity_layer())
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidDataError):
         embedding_round(isolated(), np.ones((2, 2)), identity_layer())
 
 
@@ -217,7 +217,7 @@ def test_embedding_round_is_synchronous():
 
 def test_embedding_round_requires_matching_nodes():
     graph, states = ring_states()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidDataError):
         settle_rounds(graph, states[1:], dimension=3, rounds=2, seed=7)
 
 
@@ -351,7 +351,7 @@ def test_single_isolated_node_is_its_own_context():
 def test_embed_graph_rejects_bad_inputs():
     graph, states = ring_states()
     for bad in (np.zeros((0, 3)), np.zeros((4, 0)), states[0], states[None]):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidDataError):
             settle_rounds(graph, bad, dimension=4, rounds=2, seed=7)
 
 
@@ -384,7 +384,7 @@ def test_embedding_csv_quotes_ids_like_csv_writer(tmp_path):
 
 
 def test_embedding_csv_rejects_empty(tmp_path):
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidDataError, match="no embeddings to write"):
         write_embedding_csv(tmp_path / "x.csv", id_column([]), [])
 
 
@@ -399,7 +399,7 @@ def test_embedding_csv_rejects_mismatched_snapshots_before_opening(tmp_path):
         [np.zeros((3, 0))],
     )
     for snapshots in cases:
-        with pytest.raises(DimensionMismatchError, match="states have shape"):
+        with pytest.raises(InvalidDataError, match="states have shape"):
             write_embedding_csv(path, id_column(ids), snapshots)
         assert not path.exists()
 

@@ -24,29 +24,6 @@ from knowmap.features import (
 workloads = st.integers(min_value=0, max_value=10).map(lambda i: i * 10)
 
 
-def test_node_features_invariants():
-    # positional fields: cpu_usage, mem_available, mem_total
-    for bad in [(-0.1, 100.0, 100.0), (1.1, 100.0, 100.0), (0.5, 200.0, 100.0), (0.5, 0.0, 0.0)]:
-        with pytest.raises(ValueError):
-            NodeFeatures(*bad)
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (("x", 1.0), "cpu_usage must be a real number, got 'x'"),
-        ((True, 1.0), "cpu_usage must be a real number, got True"),
-        ((0.5, "y"), "mem_available must be a real number, got 'y'"),
-        ((0.5, 1.0, None), "mem_total must be a real number, got None"),
-        ((0.5, 1.0, False), "mem_total must be a real number, got False"),
-    ],
-)
-def test_node_features_rejects_a_metric_that_is_not_a_real_number(bad, message):
-    # a typed error, not a bare TypeError; a bool is not read as 0 or 1
-    with pytest.raises(InvalidConfigError, match=message):
-        NodeFeatures(*bad)
-
-
 @pytest.mark.parametrize(
     "bad", [25, 55, -10, 110, 1, 99, True, False, 0.0, 50.0, np.float64(50.0), "50", None]
 )

@@ -39,6 +39,18 @@ def test_import_loads_the_library_and_not_the_cli_or_plot():
     assert "numpy.random" not in modules
 
 
+def test_import_loads_no_openssl():
+    # node_keys imports hashlib on its first call: OpenSSL costs about 3.6 MB, and
+    # knowmap topology and knowmap plot never need it
+    src = str(Path(knowmap.__file__).resolve().parent.parent)
+    code = "import sys, knowmap; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, check=True, text=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["drift", "--nodes", "12"], ["embed", "--nodes", "9"]], ids=["drift", "embed"]
 )

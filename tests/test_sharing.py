@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from knowmap.embedding import embedding_round, id_column, init_layers
-from knowmap.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    NonFiniteValueError,
-)
+from knowmap.errors import InvalidConfigError, InvalidDataError
 from knowmap.features import feature_vector, features_at
 from knowmap.graph import TopologyKind, build_topology, node_name
 from knowmap.sharing import (
@@ -148,7 +143,7 @@ def test_knowledge_map_json_rejects_states_with_no_column(tmp_path):
     # json.dump would write "a": [], which no row of values can give
     kmap = KnowledgeMap(["a", "b"], np.zeros((2, 0)), 1, True, 0.0)
     path = tmp_path / "map.json"
-    with pytest.raises(DimensionMismatchError, match="no column"):
+    with pytest.raises(InvalidDataError, match="no column"):
         write_knowledge_map_json(path, kmap)
     assert not path.exists()
 
@@ -162,7 +157,7 @@ def test_knowledge_map_json_rejects_non_finite_values(tmp_path):
         KnowledgeMap(result.node_ids, bad_states, 1, False, 0.5),
         KnowledgeMap(result.node_ids, result.states, 1, False, np.inf),
     ):
-        with pytest.raises(NonFiniteValueError, match="must be finite"):
+        with pytest.raises(InvalidDataError, match="must be finite"):
             write_knowledge_map_json(tmp_path / "map.json", bad)
 
 
@@ -224,5 +219,5 @@ def test_write_knowledge_map_csv_rejects_empty(tmp_path):
     kmap = KnowledgeMap(
         node_ids=[], states=np.zeros((0, 2)), rounds_used=0, converged=False, final_delta=0.0
     )
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidDataError, match="no embeddings to write"):
         write_knowledge_map_csv(tmp_path / "map.csv", kmap, id_column(kmap.node_ids))

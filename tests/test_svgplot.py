@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import knowmap
 from knowmap.drift import DriftConfig, run_drift
-from knowmap.errors import DimensionMismatchError, EmptyInputError, NonFiniteValueError
+from knowmap.errors import InvalidDataError
 from knowmap.graph import TopologyKind
 from knowmap.svgplot import (
     escape, render_scatter, workload_color, write_drift_svg, write_scatter_svg,
@@ -97,17 +97,17 @@ def test_a_drift_export_imports_no_url_mail_or_sax_modules(tmp_path):
 
 
 def test_render_validation():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidDataError, match="labels, workloads, and points must align"):
         render_scatter(["a"], [50, 60], [[0.0, 0.0]])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidDataError, match="nothing to plot"):
         render_scatter([], [], [])
     # a point is an (x, y) pair of numbers: one column, three, a flat row of two, a ragged
     # row or a string coordinate is refused
     for points in ([[0.0], [1.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0],
                    [[0.0, 0.0], [1.0]], [["a", 0.0], [1.0, 1.0]]):
-        with pytest.raises(DimensionMismatchError, match="points must be 2 x 2"):
+        with pytest.raises(InvalidDataError, match="points must be 2 x 2"):
             render_scatter(["baseline:a", "target:t"], [50, 50], points)
-    with pytest.raises(NonFiniteValueError, match="workload"):
+    with pytest.raises(InvalidDataError, match="workload"):
         render_scatter(["baseline:a", "target:t"], [50, None], [[0.0, 0.0], [1.0, 1.0]])
 
 
@@ -119,13 +119,16 @@ def test_a_non_finite_point_is_rejected(axis, value):
         workloads[2] = value
     else:
         points[2][axis] = value
-    with pytest.raises(NonFiniteValueError):
+    message = "every workload must be a finite number" if axis == "workload" else (
+        "a point is not finite, or the plot's extent overflows a double")
+    with pytest.raises(InvalidDataError, match=message):
         render_scatter(labels, workloads, points)
 
 
 def test_an_extent_that_overflows_a_double_is_rejected():
     # finite points, but max - min is past 1.8e308: the centres would be NaN
-    with pytest.raises(NonFiniteValueError):
+    message = "a point is not finite, or the plot's extent overflows a double"
+    with pytest.raises(InvalidDataError, match=message):
         render_scatter(["baseline:a", "baseline:b"], [50, 50], [[-1e308, 0.0], [1e308, 0.0]])
 
 
@@ -143,7 +146,7 @@ def test_a_one_value_span_sits_at_the_centre_at_any_magnitude(value):
 ], ids=["empty", "nan", "ragged"])
 def test_a_rejected_plot_creates_no_file(tmp_path, args):
     path = tmp_path / "plot.svg"
-    with pytest.raises((EmptyInputError, NonFiniteValueError, DimensionMismatchError)):
+    with pytest.raises(InvalidDataError):
         write_scatter_svg(path, *args)
     assert not path.exists()
 
@@ -156,7 +159,7 @@ def test_a_rejected_plot_creates_no_file(tmp_path, args):
 def test_a_rejected_plot_leaves_an_existing_file_as_it_was(tmp_path, args):
     path = tmp_path / "plot.svg"
     path.write_bytes(b"<svg>earlier plot</svg>\n")
-    with pytest.raises((EmptyInputError, NonFiniteValueError)):
+    with pytest.raises(InvalidDataError):
         write_scatter_svg(path, *args)
     assert path.read_bytes() == b"<svg>earlier plot</svg>\n"
 

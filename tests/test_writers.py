@@ -20,7 +20,7 @@ from hypothesis import example, given, strategies as st
 from test_embedding import per_row_projection_csv
 
 from knowmap.drift import DriftConfig, run_drift, write_projection_csv
-from knowmap.errors import NonFiniteValueError
+from knowmap.errors import InvalidDataError
 from knowmap.graph import TopologyKind
 from knowmap.sharing import write_knowledge_map_json
 from knowmap.svgplot import escape, render_scatter, workload_color, write_drift_svg
@@ -60,7 +60,7 @@ def per_value_scatter(labels, workloads, points, title=""):
     x_lo, x_hi = min(xs) - x_pad, max(xs) + x_pad
     y_lo, y_hi = min(ys) - y_pad, max(ys) + y_pad
     if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
-        raise NonFiniteValueError("the plot's extent overflows a double")
+        raise InvalidDataError("the plot's extent overflows a double")
     sx = lambda x: 60 + (x - x_lo) / (x_hi - x_lo) * 550
     sy = lambda y: 40 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * 390
     parts = [
@@ -144,11 +144,11 @@ ROW = st.tuples(
 
 
 def rendered(render, *args):
-    """render(*args), or NonFiniteValueError if it rejects them."""
+    """render(*args), or InvalidDataError if it rejects them."""
     try:
         return render(*args)
-    except NonFiniteValueError:
-        return NonFiniteValueError
+    except InvalidDataError:
+        return InvalidDataError
 
 
 @given(st.lists(ROW, min_size=1, max_size=20), TEXT)
